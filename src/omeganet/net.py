@@ -11,6 +11,7 @@ mask channels.  Training minimizes lambda_s * BCE(main) + lambda_a * BCE(aux).
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +26,7 @@ from .blocks import (
     kaiming_conv,
     mdsa,
 )
-from .data import read_otf, write_otf
+from .data import OtfError, read_otf, write_otf
 from .tensor import (
     Tensor,
     ShapeError,
@@ -320,18 +321,32 @@ def _entry_json(arr):
 
 def save_checkpoint(net: OmegaNet, path, extra=None) -> None:
     """Write the config header plus every parameter (and optional trainer
-    state arrays) into one OTF container."""
+    state arrays) into one OTF container.
+
+    The container is written to ``<path>.tmp`` and then renamed over
+    ``path``, so ``path`` always holds either the old or the new checkpoint.
+    """
     entries = [(CONFIG_ENTRY, _json_entry(net.config.to_dict()))]
     for name, p in net.named_parameters():
         entries.append((name, np.ascontiguousarray(p.data, dtype=np.float32)))
     for name, arr in (extra or {}).items():
         entries.append((name, np.ascontiguousarray(arr, dtype=np.float32)))
-    write_otf(path, entries)
+    tmp = f"{path}.tmp"
+    try:
+        write_otf(tmp, entries)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path):
     """Returns (ModelConfig, {name: ndarray}) with the config entry stripped."""
-    entries = read_otf(path)
+    try:
+        entries = read_otf(path)
+    except OtfError as e:
+        raise CheckpointError(f"unreadable checkpoint: {e}") from e
     if CONFIG_ENTRY not in entries:
         raise CheckpointError(f"checkpoint {path} has no {CONFIG_ENTRY} entry")
     config = ModelConfig.from_dict(_entry_json(entries.pop(CONFIG_ENTRY)))

@@ -4,12 +4,15 @@ Everything is stored row-major; feature maps are rank-4 (N, C, H, W) and
 attention matrices are plain rank-2/3 arrays.  The graph is rebuilt on every
 forward pass: each op that has a tracked input returns a Tensor carrying a
 backward closure over its parents, and ``Tensor.backward()`` replays those
-closures in reverse topological order.
+closures in reverse topological order.  Backward consumes the graph: once a
+node's closure has run, the node drops its gradient, closure and parents, so
+each intermediate output is freed as soon as its last consumer is done.
 
 Ops preserve the dtype of their inputs.  Networks run in float32; the
 gradient-check suites build float64 tensors and exercise the identical code
 paths.  Convolutions go through im2col + GEMM; the naive loop versions live
-in :mod:`omeganet.reference` and are used only as test oracles.
+in :mod:`omeganet.reference` and are used only as test oracles.  A conv keeps
+no im2col columns on the tape: its backward gathers them again from the input.
 """
 from __future__ import annotations
 
@@ -46,7 +49,7 @@ class Tensor:
         grad: ndarray of the same shape as ``data``, populated by ``backward``.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "__weakref__")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -89,7 +92,9 @@ class Tensor:
 
         Gradients add across fan-out and across repeated ``backward`` calls
         (leaves are not zeroed here); the gradient of the loss w.r.t. itself
-        is 1.
+        is 1.  The graph is consumed as it goes: after a non-leaf node's
+        closure has run, its ``grad``, closure and parents are dropped, so
+        only leaf gradients survive and the graph cannot be replayed.
         """
         if self.data.size != 1:
             raise ShapeError(
@@ -111,9 +116,15 @@ class Tensor:
                 if id(parent) not in visited:
                     stack.append((parent, False))
         _accumulate(self, np.ones_like(self.data))
-        for node in reversed(topo):
-            if node._backward_fn is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()
+            if node._backward_fn is None:
+                continue
+            if node.grad is not None:
                 node._backward_fn(node.grad)
+            node.grad = None
+            node._backward_fn = None
+            node._parents = ()
 
     def reshape(self, new_shape):
         return reshape(self, new_shape)
@@ -156,10 +167,24 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int, dilation
     return (size + 2 * padding - eff) // stride + 1
 
 
+def _tiles(kh: int, kw: int, stride: int, dilation: int) -> bool:
+    """Whether the windows tile the input: no overlap and no gaps between them."""
+    return kh == kw == stride and (dilation == 1 or kh == 1)
+
+
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, dilation: int,
             out_h: int, out_w: int) -> np.ndarray:
-    """Gather (N, C*kh*kw, out_h*out_w) patch columns from a padded input."""
+    """Gather (N, C*kh*kw, out_h*out_w) patch columns from a padded input.
+
+    Tiling windows (a 1x1 stride-1 or a k x k stride-k kernel) are one
+    reshape/transpose; for 1x1 that is a view of ``xp`` with no copy.
+    """
     n, c = xp.shape[:2]
+    if _tiles(kh, kw, stride, dilation):
+        cols = (xp[:, :, :out_h * kh, :out_w * kw]
+                .reshape(n, c, out_h, kh, out_w, kw)
+                .transpose(0, 1, 3, 5, 2, 4))
+        return cols.reshape(n, c * kh * kw, out_h * out_w)
     cols = np.empty((n, c, kh, kw, out_h, out_w), dtype=xp.dtype)
     for i in range(kh):
         for j in range(kw):
@@ -173,9 +198,15 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, dilation: int,
 
 def _col2im(cols: np.ndarray, n: int, c: int, h: int, w: int, kh: int, kw: int,
             stride: int, dilation: int, out_h: int, out_w: int) -> np.ndarray:
-    """Scatter-add columns back into an (N, C, h, w) buffer; adjoint of _im2col."""
-    xp = np.zeros((n, c, h, w), dtype=cols.dtype)
+    """Scatter-add columns back into an (N, C, h, w) buffer; adjoint of _im2col.
+
+    Windows that tile the whole buffer never overlap, so there the scatter is
+    one reshape/transpose with no zero buffer.
+    """
     cols = cols.reshape(n, c, kh, kw, out_h, out_w)
+    if _tiles(kh, kw, stride, dilation) and (out_h * kh, out_w * kw) == (h, w):
+        return cols.transpose(0, 1, 4, 2, 5, 3).reshape(n, c, h, w)
+    xp = np.zeros((n, c, h, w), dtype=cols.dtype)
     for i in range(kh):
         for j in range(kw):
             xp[
@@ -218,13 +249,16 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
             f"conv2d output spatial extent would be {out_h}x{out_w} for input {h}x{w}"
         )
 
-    if padding:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    else:
+    def columns():
         xp = x.data
-    cols = _im2col(xp, kh, kw, stride, dilation, out_h, out_w)
+        if padding:
+            xp = np.pad(xp, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        return _im2col(xp, kh, kw, stride, dilation, out_h, out_w)
+
+    # the columns are dropped after the GEMM; backward gathers them again
     w2 = weight.data.reshape(c_out, -1)
-    out = np.matmul(w2, cols) + bias.data.reshape(1, c_out, 1)
+    out = np.matmul(w2, columns())
+    out += bias.data.reshape(1, c_out, 1)
     out = out.reshape(n, c_out, out_h, out_w)
 
     def backward(g):
@@ -232,7 +266,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
         if bias.requires_grad:
             _accumulate(bias, g2.sum(axis=(0, 2)))
         if weight.requires_grad:
-            dw = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0)
+            dw = np.matmul(g2, columns().transpose(0, 2, 1)).sum(axis=0)
             _accumulate(weight, dw.reshape(weight.shape))
         if x.requires_grad:
             dcols = np.matmul(w2.T, g2)

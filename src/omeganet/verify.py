@@ -68,6 +68,16 @@ def grad_suite(include_end_to_end: bool = True):
         "conv2d", lambda: sum_all(conv2d(x, w, b, stride=1, padding=1)),
         [("x", x), ("w", w), ("b", b)], GRAD_TOL_BLOCK))
 
+    # a 1x1 kernel's columns are a view of the input; a 2x2 stride-2 kernel tiles it
+    rng_k = np.random.default_rng(5)
+    for name, k, stride in (("conv2d_1x1", 1, 1), ("conv2d_2x2_s2", 2, 2)):
+        xk = _rand(rng_k, (2, 3, 5, 5), requires_grad=True)
+        wk = _rand(rng_k, (4, 3, k, k), requires_grad=True)
+        bk = _rand(rng_k, (4,), requires_grad=True)
+        results.append(_grad_check(
+            name, lambda: sum_all(conv2d(xk, wk, bk, stride=stride)),
+            [("x", xk), ("w", wk), ("b", bk)], GRAD_TOL_BLOCK))
+
     xt = _rand(rng, (2, 3, 4, 4), requires_grad=True)
     wt = _rand(rng, (3, 2, 2, 2), requires_grad=True)
     bt = _rand(rng, (2,), requires_grad=True)
@@ -151,7 +161,7 @@ def oracle_suite(instances: int = 100):
     worst = 0.0
     for _ in range(instances):
         n, ci, co = rng.integers(1, 3), rng.integers(1, 5), rng.integers(1, 5)
-        k = int(rng.choice([1, 3]))
+        k = int(rng.choice([1, 2, 3]))
         s, p, dl = int(rng.integers(1, 3)), int(rng.integers(0, 3)), int(rng.integers(1, 3))
         h = int(rng.integers(max(1, dl * (k - 1) + 1 - 2 * p), 10))
         w = int(rng.integers(max(1, dl * (k - 1) + 1 - 2 * p), 10))
@@ -162,6 +172,19 @@ def oracle_suite(instances: int = 100):
         ref = reference.conv2d_naive(x, wt, b, s, p, dl)
         worst = max(worst, reference.relative_error(got, ref))
     results.append(CheckResult("conv2d", worst, ORACLE_TOL))
+
+    # k == s tiles the output (one reshape); any other k, s takes the scatter-add
+    worst = 0.0
+    for _ in range(instances):
+        n, ci, co = rng.integers(1, 3), rng.integers(1, 5), rng.integers(1, 5)
+        k, s = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        x = rng.normal(size=(n, ci, int(rng.integers(1, 6)), int(rng.integers(1, 6))))
+        wt = rng.normal(size=(ci, co, k, k))
+        b = rng.normal(size=(co,))
+        got = transposed_conv2d(Tensor(x), Tensor(wt), Tensor(b), s).data
+        ref = reference.transposed_conv2d_naive(x, wt, b, s)
+        worst = max(worst, reference.relative_error(got, ref))
+    results.append(CheckResult("transposed_conv2d", worst, ORACLE_TOL))
 
     worst = 0.0
     for _ in range(instances):

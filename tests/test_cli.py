@@ -81,6 +81,15 @@ class TestConfigValidation:
         assert main(["gen-data", "--config", str(config)]) == 2
 
 
+def truncated_checkpoint(cfg, tmp_path):
+    """A checkpoint of the run config's model, cut off mid-payload."""
+    path = tmp_path / "truncated.otf"
+    save_checkpoint(OmegaNet(ModelConfig(**cfg["model"]), seed=0), path)
+    blob = path.read_bytes()
+    path.write_bytes(blob[:len(blob) // 2])
+    return path
+
+
 @pytest.fixture
 def generated(tmp_path):
     config, cfg = make_config(tmp_path)
@@ -168,6 +177,13 @@ class TestEval:
                      "--split", "val"]) == 4
         assert "enc.1.conv1.weight" in capsys.readouterr().err
 
+    def test_truncated_checkpoint_exits_4(self, generated, capsys):
+        config, cfg, tmp_path = generated
+        ckpt = truncated_checkpoint(cfg, tmp_path)
+        assert main(["eval", "--config", str(config), "--checkpoint", str(ckpt),
+                     "--split", "val"]) == 4
+        assert "truncated" in capsys.readouterr().err
+
     def test_perfect_oracle_checkpoint_scores_dsc_1(self, tmp_path, capsys):
         config, cfg = make_config(tmp_path)
         # one crafted sample with an all-positive mask, heads saturated toward it
@@ -223,6 +239,14 @@ class TestPredict:
         expect[organ] = 128
         expect[tumor] = 255
         np.testing.assert_array_equal(levels, expect)
+
+    def test_truncated_checkpoint_exits_4(self, generated, capsys):
+        config, cfg, tmp_path = generated
+        ckpt = truncated_checkpoint(cfg, tmp_path)
+        image = str(tmp_path / "data" / "train" / "0000.img.otf")
+        assert main(["predict", "--checkpoint", str(ckpt), "--image", image,
+                     "--out", str(tmp_path / "p")]) == 4
+        assert "truncated" in capsys.readouterr().err
 
     def test_wrong_size_exits_4(self, trained, tmp_path):
         config, cfg, tmp_path = trained

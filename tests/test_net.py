@@ -3,6 +3,8 @@ import numpy as np
 import pytest
 
 from omeganet import blocks
+from omeganet import net as net_module
+from omeganet.data import write_otf
 from omeganet.net import (
     CheckpointError,
     DualOutput,
@@ -317,3 +319,20 @@ class TestCheckpoint:
         save_checkpoint(OmegaNet(cfg, seed=0), tmp_path / "n.otf")
         loaded_cfg, _ = load_checkpoint(tmp_path / "n.otf")
         assert loaded_cfg == cfg
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "net.otf"
+        save_checkpoint(OmegaNet(toy_config(), seed=0), path)
+        before = path.read_bytes()
+
+        def write_half_then_fail(target, entries):
+            write_otf(target, entries)
+            with open(target, "r+b") as f:
+                f.truncate(len(before) // 2)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(net_module, "write_otf", write_half_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(OmegaNet(toy_config(), seed=1), path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["net.otf"]

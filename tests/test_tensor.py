@@ -1,8 +1,12 @@
 """Primitive op contracts: frozen examples, loop oracles, and gradient checks."""
+import types
+import weakref
+
 import numpy as np
 import pytest
 
 from omeganet import reference
+from omeganet.net import ModelConfig, OmegaNet
 from omeganet.tensor import (
     Tensor,
     ShapeError,
@@ -391,6 +395,76 @@ class TestBackward:
             y = sum_all(x)
         assert y.requires_grad is False
         assert y._backward_fn is None
+
+
+def replay_keeping_graph(loss):
+    """Backward as it ran before the tape was consumed: the same traversal and
+    accumulation order, but every node keeps its grad, closure and parents."""
+    topo, visited, stack = [], set(), [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        stack.extend((p, False) for p in node._parents if id(p) not in visited)
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(topo):
+        if node._backward_fn is not None and node.grad is not None:
+            node._backward_fn(node.grad)
+
+
+def closure_arrays(fn):
+    """Every ndarray a function's closure reaches, through nested closures."""
+    found, todo = [], [fn]
+    while todo:
+        for cell in todo.pop().__closure__ or ():
+            value = cell.cell_contents
+            if isinstance(value, np.ndarray):
+                found.append(value)
+            elif isinstance(value, types.FunctionType):
+                todo.append(value)
+    return found
+
+
+class TestTapeRelease:
+    def test_intermediate_freed_by_backward(self, rng):
+        x = t64(rng.normal(size=(1, 2, 5, 5)), requires_grad=True)
+        w = t64(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
+        hidden = relu(conv2d(x, w, t64(np.zeros(3)), padding=1))
+        ref = weakref.ref(hidden)
+        loss = sum_all(scale(hidden, 2.0))
+        del hidden
+        assert ref() is not None  # the graph holds it until backward
+        loss.backward()
+        assert ref() is None
+        assert loss._backward_fn is None and loss._parents == () and loss.grad is None
+        assert x.grad is not None and w.grad is not None
+
+    def test_leaf_grads_equal_replay_keeping_graph(self):
+        cfg = ModelConfig(depth=3, encoder_channels=[4, 8, 16], out_channels=2, k=4,
+                          lambda_s=10.0, lambda_a=1.0, input_size=16)
+        rng = np.random.default_rng(3)
+        x = t64(rng.normal(size=(2, 1, 16, 16)))
+        mask = t64((rng.uniform(size=(2, 2, 16, 16)) > 0.6).astype(np.float64))
+        kept = OmegaNet(cfg, seed=5, dtype=np.float64)
+        consumed = OmegaNet(cfg, seed=5, dtype=np.float64)
+        replay_keeping_graph(kept.loss(kept.forward(x), mask))
+        consumed.loss(consumed.forward(x), mask).backward()
+        for (name, a), (_, b) in zip(kept.named_parameters(), consumed.named_parameters()):
+            np.testing.assert_array_equal(a.grad, b.grad, err_msg=name)
+
+    @pytest.mark.parametrize("k,stride,padding", [(3, 1, 1), (1, 1, 0), (2, 2, 0), (3, 2, 1)])
+    def test_conv_closure_keeps_no_columns(self, rng, k, stride, padding):
+        x = t64(rng.normal(size=(2, 3, 8, 8)), requires_grad=True)
+        w = t64(rng.normal(size=(4, 3, k, k)), requires_grad=True)
+        out = conv2d(x, w, t64(np.zeros(4)), stride=stride, padding=padding)
+        cols_shape = (2, 3 * k * k, out.shape[2] * out.shape[3])
+        shapes = [a.shape for a in closure_arrays(out._backward_fn)]
+        assert shapes and cols_shape not in shapes
 
 
 class TestNumericHygiene:

@@ -1,4 +1,7 @@
 """Optimizer, accumulation, metrics, and training-loop behavior."""
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -130,6 +133,26 @@ class TestAccumulation:
         for name in once:
             np.testing.assert_allclose(twice[name], once[name], rtol=1e-9)
 
+
+    def test_peak_memory_independent_of_micro_batch_count(self):
+        # configs/toy.json shape: a consumed tape frees each micro-batch's
+        # graph during its backward, so the next forward starts from nothing
+        net = toy_net(encoder_channels=[8, 16, 32], k=10, input_size=64)
+        ds = toy_dataset(8, size=64)
+        batches = self.make_batches(net, ds, list(range(8)), 2)
+
+        def traced_peak(micro_batches):
+            net.zero_grad()
+            gc.collect()
+            tracemalloc.start()
+            try:
+                accumulate_gradients(net, micro_batches)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, four = traced_peak(batches[:1]), traced_peak(batches)
+        assert four <= 1.10 * one, (one, four)
 
 class TestMetrics:
     def test_perfect_prediction(self, rng):
