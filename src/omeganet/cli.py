@@ -28,8 +28,7 @@ from .net import (
     CheckpointError,
     ModelConfig,
     OmegaNet,
-    load_checkpoint,
-    restore_parameters,
+    build_from_checkpoint,
     save_checkpoint,
 )
 from .tensor import ShapeError, Tensor, no_grad, sigmoid
@@ -161,9 +160,7 @@ def cmd_train(args) -> int:
     lr = args.lr if args.lr is not None else cfg.lr
     dataset = DiskDataset(cfg.paths["data_dir"], "train")
     if args.resume:
-        ckpt_config, entries = load_checkpoint(args.resume)
-        net = OmegaNet(ckpt_config, seed=cfg.train.seed)
-        extra = restore_parameters(net, entries)
+        net, extra = build_from_checkpoint(args.resume, expected=cfg.model)
         adam = adam_state_from_arrays(extra, lr=lr, weight_decay=cfg.weight_decay)
     else:
         net = OmegaNet(cfg.model, seed=cfg.train.seed)
@@ -198,9 +195,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = load_run_config(args.config)
     checkpoint = args.checkpoint or cfg.paths["checkpoint"]
-    net = OmegaNet(cfg.model, seed=0)
-    _, entries = load_checkpoint(checkpoint)
-    restore_parameters(net, entries)
+    net, _ = build_from_checkpoint(checkpoint, expected=cfg.model)
     dataset = DiskDataset(cfg.paths["data_dir"], args.split)
     if len(dataset) == 0:
         raise ConfigError(f"split '{args.split}' in {cfg.paths['data_dir']} is empty")
@@ -228,7 +223,7 @@ def _load_image(path) -> np.ndarray:
 
 
 def cmd_predict(args) -> int:
-    net, _ = _build_net_from_checkpoint(args.checkpoint)
+    net, _ = build_from_checkpoint(args.checkpoint)
     image = _load_image(args.image)
     if image.ndim != 3 or image.shape[0] != 1:
         raise ShapeError(f"expected a (1, H, W) image, got shape {image.shape}")
@@ -248,13 +243,6 @@ def cmd_predict(args) -> int:
     write_mask_pgm(out_dir / "mask.pgm", mask)
     print(f"wrote {out_dir / 'prob.otf'} and {out_dir / 'mask.pgm'}")
     return EXIT_OK
-
-
-def _build_net_from_checkpoint(path):
-    config, entries = load_checkpoint(path)
-    net = OmegaNet(config, seed=0)
-    extra = restore_parameters(net, entries)
-    return net, extra
 
 
 def cmd_verify(args) -> int:

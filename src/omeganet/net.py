@@ -376,9 +376,18 @@ def restore_parameters(net: OmegaNet, entries: dict) -> dict:
     return remaining
 
 
-def build_from_checkpoint(path, dtype=np.float32):
-    """Rebuild a network from a checkpoint; returns (net, trainer state dict)."""
+def build_from_checkpoint(path, dtype=np.float32, expected: ModelConfig | None = None):
+    """Rebuild a network from a checkpoint; returns (net, trainer state dict).
+
+    With ``expected`` given, a checkpoint written for any other model config
+    raises CheckpointError naming both configs.
+    """
     config, entries = load_checkpoint(path)
+    if expected is not None and config != expected:
+        raise CheckpointError(
+            f"checkpoint {path} holds model config {config.to_dict()},"
+            f" but the run config has {expected.to_dict()}"
+        )
     net = OmegaNet(config, seed=0, dtype=dtype)
     extra = restore_parameters(net, entries)
     return net, extra

@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from .tensor import Tensor, no_grad
+from .train import DivergenceError
 
 
 def conv2d_naive(x, w, b, stride=1, padding=0, dilation=1):
@@ -198,6 +199,42 @@ def metrics_naive(prob, mask, threshold=0.5):
                         tn += 1
         reports.append({"tp": tp, "fp": fp, "fn": fn, "tn": tn})
     return reports
+
+
+def adam_step_naive(params, grads, state) -> None:
+    """Adam as one whole-array formula per parameter, rebinding ``p.data``.
+
+    The oracle for ``train.adam_step``: g <- grad + weight_decay * param;
+    m, v exponential moments with bias correction;
+    param <- param - lr * m_hat / (sqrt(v_hat) + eps).
+    """
+    for name, p in params:
+        g = grads.get(name)
+        if g is not None and not np.isfinite(g).all():
+            raise DivergenceError(f"non-finite gradient for parameter {name!r}")
+    state.t += 1
+    bc1 = 1.0 - state.beta1 ** state.t
+    bc2 = 1.0 - state.beta2 ** state.t
+    for name, p in params:
+        g = grads.get(name)
+        if g is None:
+            g = np.zeros_like(p.data)
+        if g.shape != p.data.shape:
+            raise ValueError(
+                f"gradient shape {g.shape} does not match parameter {name!r} {p.data.shape}"
+            )
+        if state.weight_decay:
+            g = g + state.weight_decay * p.data
+        m = state.m.get(name)
+        if m is None:
+            m = state.m[name] = np.zeros_like(p.data)
+            state.v[name] = np.zeros_like(p.data)
+        v = state.v[name]
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * (g * g)
+        p.data = p.data - state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
 
 
 # ---------------------------------------------------------------------------

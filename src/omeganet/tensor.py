@@ -144,8 +144,10 @@ class Tensor:
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # one pass, no zero fill; adding +0.0 keeps the bits of 0 + g (-0.0 -> +0.0)
+        t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
+    else:
+        t.grad += g
 
 
 def _node(out_data: np.ndarray, parents: tuple, backward_fn) -> Tensor:

@@ -44,40 +44,79 @@ class AdamState:
     v: dict = field(default_factory=dict)
 
 
+# Adam streams every parameter through scratch buffers of this many elements
+# (128 KiB of float32), so the update holds no whole-array temporaries.
+ADAM_CHUNK = 32768
+
+
 def adam_step(params, grads, state: AdamState) -> None:
     """One update over [(name, Tensor)] given {name: gradient array}.
 
     g <- grad + weight_decay * param; m, v exponential moments with bias
     correction; param <- param - lr * m_hat / (sqrt(v_hat) + eps).
-    A non-finite gradient rejects the whole step.
+    Parameters and moments are updated in place, ``ADAM_CHUNK`` elements at a
+    time, with the ufunc sequence of ``reference.adam_step_naive``, so the
+    result is bit-identical to the whole-array formula.  A ``p.data`` that is
+    not C-contiguous or not writeable is first replaced by an owned copy.
+    A non-finite or misshapen gradient rejects the whole step before any
+    parameter is touched.
     """
-    for name, p in params:
-        g = grads.get(name)
-        if g is not None and not np.isfinite(g).all():
-            raise DivergenceError(f"non-finite gradient for parameter {name!r}")
-    state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
+    finite = np.empty(ADAM_CHUNK, dtype=bool)
     for name, p in params:
         g = grads.get(name)
         if g is None:
-            g = np.zeros_like(p.data)
+            continue
         if g.shape != p.data.shape:
             raise ValueError(
                 f"gradient shape {g.shape} does not match parameter {name!r} {p.data.shape}"
             )
-        if state.weight_decay:
-            g = g + state.weight_decay * p.data
-        m = state.m.get(name)
-        if m is None:
-            m = state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p.data = p.data - state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        flat = g.reshape(-1)
+        for lo in range(0, flat.size, ADAM_CHUNK):
+            part = flat[lo:lo + ADAM_CHUNK]
+            if not np.isfinite(part, out=finite[:part.size]).all():
+                raise DivergenceError(f"non-finite gradient for parameter {name!r}")
+    state.t += 1
+    bc1 = 1.0 - state.beta1 ** state.t
+    bc2 = 1.0 - state.beta2 ** state.t
+    wd, lr, eps = state.weight_decay, state.lr, state.eps
+    b1, b2 = state.beta1, state.beta2
+    scratch = None
+    for name, p in params:
+        if not (p.data.flags.c_contiguous and p.data.flags.writeable):
+            # reshape(-1) of such an array is a copy, and the update would be lost
+            p.data = np.array(p.data, order="C")
+        if name not in state.m:
+            state.m[name], state.v[name] = np.zeros_like(p.data), np.zeros_like(p.data)
+        m, v = state.m[name], state.v[name]
+        if scratch is None or scratch.dtype != p.data.dtype:
+            scratch = np.empty((2, ADAM_CHUNK), dtype=p.data.dtype)
+        g = grads.get(name)
+        flat_g = None if g is None else g.reshape(-1)
+        flat_p, flat_m, flat_v = p.data.reshape(-1), m.reshape(-1), v.reshape(-1)
+        for lo in range(0, flat_p.size, ADAM_CHUNK):
+            hi = min(lo + ADAM_CHUNK, flat_p.size)
+            pc, mc, vc = flat_p[lo:hi], flat_m[lo:hi], flat_v[lo:hi]
+            a, b = scratch[0, :hi - lo], scratch[1, :hi - lo]
+            if flat_g is None:
+                a.fill(0)
+                gc = a
+            else:
+                gc = flat_g[lo:hi]
+            if wd:
+                np.multiply(wd, pc, out=b)
+                gc = np.add(gc, b, out=a)
+            mc *= b1
+            mc += np.multiply(1.0 - b1, gc, out=b)
+            vc *= b2
+            np.multiply(gc, gc, out=b)
+            vc += np.multiply(1.0 - b2, b, out=b)
+            np.divide(mc, bc1, out=a)
+            np.multiply(lr, a, out=a)
+            np.divide(vc, bc2, out=b)
+            np.sqrt(b, out=b)
+            np.add(b, eps, out=b)
+            np.divide(a, b, out=a)
+            pc -= a
 
 
 def adam_state_arrays(state: AdamState) -> dict:

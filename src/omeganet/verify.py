@@ -25,7 +25,7 @@ from .tensor import (
     transpose_last2,
     transposed_conv2d,
 )
-from .train import compute_metrics
+from .train import ADAM_CHUNK, AdamState, adam_step, compute_metrics
 
 GRAD_TOL_BLOCK = 1e-4
 GRAD_TOL_END_TO_END = 1e-3
@@ -255,7 +255,42 @@ def oracle_suite(instances: int = 100):
             worst = max(worst, abs(got_c.dsc - dsc))
     results.append(CheckResult("metrics", worst, 0.0))
 
+    worst = sum(adam_mismatches(dtype, wd)
+                for dtype in (np.float32, np.float64) for wd in (0.0, 1.5e-4))
+    results.append(CheckResult("adam", float(worst), 0.0))
+
     return results
+
+
+ADAM_SIZES = (1, ADAM_CHUNK - 1, ADAM_CHUNK, ADAM_CHUNK + 1, 3 * ADAM_CHUNK + 5)
+
+
+def adam_mismatches(dtype, weight_decay, steps: int = 5, seed: int = 11) -> int:
+    """Elements of parameters and moments whose bits differ between the chunked
+    ``adam_step`` and ``reference.adam_step_naive`` after ``steps`` updates.
+
+    One parameter per size in ``ADAM_SIZES``, straddling the chunk edges; the
+    largest gets no gradient on even steps, the first included.
+    """
+    rng = np.random.default_rng(seed)
+    init = {f"p{n}": rng.normal(size=n).astype(dtype) for n in ADAM_SIZES}
+    fast = [(k, Tensor(a.copy())) for k, a in init.items()]
+    slow = [(k, Tensor(a.copy())) for k, a in init.items()]
+    fast_state = AdamState(lr=1e-3, weight_decay=weight_decay)
+    slow_state = AdamState(lr=1e-3, weight_decay=weight_decay)
+    for step in range(steps):
+        grads = {k: rng.normal(size=a.shape).astype(dtype) for k, a in init.items()}
+        if step % 2 == 0:
+            grads[f"p{ADAM_SIZES[-1]}"] = None
+        adam_step(fast, grads, fast_state)
+        reference.adam_step_naive(slow, grads, slow_state)
+    bits = np.uint32 if np.dtype(dtype).itemsize == 4 else np.uint64
+    mismatches = 0
+    for (k, p), (_, q) in zip(fast, slow):
+        for a, b in ((p.data, q.data), (fast_state.m[k], slow_state.m[k]),
+                     (fast_state.v[k], slow_state.v[k])):
+            mismatches += int(np.count_nonzero(a.view(bits) != b.view(bits)))
+    return mismatches
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 """End-to-end command-line behavior: exit codes, files, determinism."""
+import importlib
 import json
 
 import numpy as np
@@ -144,6 +145,43 @@ class TestTrain:
         # the resumed run replays exactly the straight run's remaining steps
         assert resumed[1:] == straight[3:]
 
+    def test_resume_with_other_model_config_exits_4(self, generated, capsys):
+        config, cfg, tmp_path = generated
+        assert main(["train", "--config", str(config)]) == 0
+        ckpt = tmp_path / "ckpt.otf"
+        before = ckpt.read_bytes()
+        raw = json.loads(config.read_text())
+        raw["model"]["k"] = 5
+        config.write_text(json.dumps(raw))
+        assert main(["train", "--config", str(config), "--resume", str(ckpt)]) == 4
+        err = capsys.readouterr().err
+        assert "'k': 4" in err and "'k': 5" in err
+        assert ckpt.read_bytes() == before
+
+    def test_nan_gradient_exits_3_keeping_last_eval_checkpoint(self, generated, monkeypatch):
+        config, cfg, tmp_path = generated
+        ckpt = tmp_path / "ckpt.otf"
+        raw = json.loads(config.read_text())
+        raw["train"]["epochs"] = 3  # 2 steps per epoch, checkpoints at 2 and 4
+        config.write_text(json.dumps(raw))
+        train_module = importlib.import_module("omeganet.train")
+        accumulate = train_module.accumulate_gradients
+        calls, at_step_5 = [], {}
+
+        def poisoned(net, micro_batches):
+            calls.append(None)
+            grads, loss = accumulate(net, micro_batches)
+            if len(calls) == 5:
+                at_step_5["ckpt"] = ckpt.read_bytes()
+                grads["head.main.bias"][0] = np.nan
+            return grads, loss
+
+        monkeypatch.setattr(train_module, "accumulate_gradients", poisoned)
+        assert main(["train", "--config", str(config)]) == 3
+        assert ckpt.read_bytes() == at_step_5["ckpt"]
+        lines = (tmp_path / "metrics.csv").read_text().strip().splitlines()
+        assert [row.split(",")[0] for row in lines[1:]] == ["1", "2", "3", "4"]
+
 
 class TestEval:
     def test_eval_twice_identical_csv(self, generated):
@@ -169,13 +207,28 @@ class TestEval:
 
     def test_mismatched_checkpoint_exits_4_naming_tensor(self, generated, capsys):
         config, cfg, tmp_path = generated
-        other = OmegaNet(ModelConfig(depth=3, encoder_channels=[8, 16, 32],
-                                     input_size=16, k=4), seed=0)
-        save_checkpoint(other, tmp_path / "wrong.otf")
+        # the run config's architecture, but one tensor of the wrong shape
+        save_checkpoint(OmegaNet(ModelConfig(**cfg["model"]), seed=0), tmp_path / "wrong.otf")
+        entries = read_otf(tmp_path / "wrong.otf")
+        entries["enc.1.conv1.weight"] = np.zeros((8, 1, 3, 3), dtype=np.float32)
+        write_otf(tmp_path / "wrong.otf", entries)
         assert main(["eval", "--config", str(config),
                      "--checkpoint", str(tmp_path / "wrong.otf"),
                      "--split", "val"]) == 4
         assert "enc.1.conv1.weight" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("other", [dict(encoder_channels=[8, 16, 32]), dict(k=5)])
+    def test_other_model_config_exits_4_naming_both(self, generated, capsys, other):
+        # a different k leaves every tensor shape alone, so only the config tells
+        config, cfg, tmp_path = generated
+        model = ModelConfig(**{**cfg["model"], **other})
+        save_checkpoint(OmegaNet(model, seed=0), tmp_path / "other.otf")
+        assert main(["eval", "--config", str(config),
+                     "--checkpoint", str(tmp_path / "other.otf"),
+                     "--split", "val"]) == 4
+        err = capsys.readouterr().err
+        assert str(model.to_dict()) in err
+        assert str(ModelConfig(**cfg["model"]).to_dict()) in err
 
     def test_truncated_checkpoint_exits_4(self, generated, capsys):
         config, cfg, tmp_path = generated

@@ -9,6 +9,7 @@ from omeganet import reference
 from omeganet.net import ModelConfig, OmegaNet
 from omeganet.tensor import (
     Tensor,
+    _accumulate,
     ShapeError,
     no_grad,
     add,
@@ -395,6 +396,24 @@ class TestBackward:
             y = sum_all(x)
         assert y.requires_grad is False
         assert y._backward_fn is None
+
+    def test_first_gradient_of_negative_zero_lands_as_positive_zero(self):
+        # the first gradient is 0 + g, as if accumulated into a zeroed buffer
+        x = t64(np.ones(3), requires_grad=True)
+        sum_all(scale(x, -0.0)).backward()
+        assert x.grad.tolist() == [0.0, 0.0, 0.0]
+        assert not np.signbit(x.grad).any()
+
+    def test_first_gradient_broadcasts_into_a_fresh_array(self):
+        x = Tensor(np.zeros((2, 3), dtype=np.float32), requires_grad=True)
+        g = np.array([1.5, -2.0, 0.25])
+        _accumulate(x, g)
+        assert x.grad.dtype == np.float32 and x.grad.shape == (2, 3)
+        np.testing.assert_array_equal(x.grad, np.tile(g, (2, 1)))
+        assert not np.shares_memory(x.grad, g)
+        _accumulate(x, g)
+        np.testing.assert_array_equal(x.grad, np.tile(2 * g, (2, 1)))
+        np.testing.assert_array_equal(g, [1.5, -2.0, 0.25])
 
 
 def replay_keeping_graph(loss):

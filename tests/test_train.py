@@ -1,11 +1,12 @@
 """Optimizer, accumulation, metrics, and training-loop behavior."""
 import gc
+import importlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from omeganet import reference
+from omeganet import reference, verify
 from omeganet.data import SyntheticDataset, SyntheticSpec, stack_samples
 from omeganet.net import ModelConfig, OmegaNet, save_checkpoint, build_from_checkpoint
 from omeganet.tensor import Tensor
@@ -23,6 +24,9 @@ from omeganet.train import (
     train,
     write_history_csv,
 )
+
+# the package re-exports the function train, which hides the module of that name
+train_module = importlib.import_module("omeganet.train")
 
 
 def toy_net(seed=0, dtype=np.float32, **overrides):
@@ -95,6 +99,60 @@ class TestAdam:
         assert restored.t == state.t
         np.testing.assert_array_equal(restored.m["p"], state.m["p"])
         np.testing.assert_array_equal(restored.v["p"], state.v["p"])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("weight_decay", [0.0, 1.5e-4])
+    def test_bit_identical_to_whole_array_formula(self, dtype, weight_decay):
+        # sizes straddle the chunk edges; one parameter sometimes has no gradient
+        assert verify.adam_mismatches(dtype, weight_decay) == 0
+
+    def test_non_contiguous_and_read_only_parameters_update(self, rng):
+        w = rng.normal(size=(4, 3))
+        raw = rng.normal(size=7).astype(np.float32).tobytes()
+
+        def make():
+            return [("t", Tensor(w.copy().T)),
+                    ("ro", Tensor(np.frombuffer(raw, dtype=np.float32)))]
+
+        fast, slow = make(), make()
+        assert not fast[0][1].data.flags.c_contiguous
+        assert not fast[1][1].data.flags.writeable
+        fast_state, slow_state = AdamState(lr=0.01), AdamState(lr=0.01)
+        for _ in range(3):
+            grads = {"t": rng.normal(size=(3, 4)),
+                     "ro": rng.normal(size=7).astype(np.float32)}
+            adam_step(fast, grads, fast_state)
+            reference.adam_step_naive(slow, grads, slow_state)
+        initial = {"t": w.T, "ro": np.frombuffer(raw, dtype=np.float32)}
+        for (name, p), (_, q) in zip(fast, slow):
+            assert not np.array_equal(p.data, initial[name]), name
+            np.testing.assert_array_equal(p.data, q.data, err_msg=name)
+            np.testing.assert_array_equal(fast_state.m[name], slow_state.m[name])
+            np.testing.assert_array_equal(fast_state.v[name], slow_state.v[name])
+
+    def test_second_step_holds_no_whole_array_temporaries(self, rng):
+        p = Tensor(rng.normal(size=1 << 20).astype(np.float32), requires_grad=True)
+        g = rng.normal(size=1 << 20).astype(np.float32)
+        state = AdamState()
+        adam_step([("p", p)], {"p": g}, state)  # allocates the moments
+        gc.collect()
+        tracemalloc.start()
+        try:
+            adam_step([("p", p)], {"p": g}, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * p.data.nbytes, peak
+
+    def test_misshapen_gradient_rejects_whole_step(self):
+        a = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
+        b = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        state = AdamState()
+        grads = {"a": np.ones(2, dtype=np.float32), "b": np.ones(4, dtype=np.float32)}
+        with pytest.raises(ValueError, match="'b'"):
+            adam_step([("a", a), ("b", b)], grads, state)
+        assert state.t == 0 and state.m == {}
+        np.testing.assert_array_equal(a.data, np.ones(2))
 
 
 class TestAccumulation:
@@ -276,6 +334,41 @@ class TestTrainLoop:
             with pytest.raises(DivergenceError):
                 train(net, ds, cfg, adam=adam, checkpoint_path=ckpt)
         assert ckpt.read_bytes() == good
+
+    def test_nan_gradient_at_step_k_keeps_state_and_last_eval_checkpoint(
+            self, tmp_path, monkeypatch):
+        net, ds, ckpt = toy_net(), toy_dataset(8), tmp_path / "ck.otf"
+        # 2 steps per epoch; checkpoints at steps 2 and 4, the NaN arrives at step 5
+        cfg = TrainLoopConfig(epochs=3, micro_batch_size=2, accumulation_steps=2,
+                              eval_interval=2, seed=0)
+        k, adam = 5, AdamState(lr=1e-3)
+        accumulate = train_module.accumulate_gradients
+        before = {}
+
+        def poisoned(net_, micro_batches):
+            grads, loss = accumulate(net_, micro_batches)
+            if adam.t == k - 1:
+                before["params"] = {n: p.data.copy() for n, p in net_.named_parameters()}
+                before["m"] = {n: a.copy() for n, a in adam.m.items()}
+                before["v"] = {n: a.copy() for n, a in adam.v.items()}
+                save_checkpoint(net_, tmp_path / "before.otf",
+                                extra=adam_state_arrays(adam))
+                grads["msc.2.conv1.weight"].flat[3] = np.nan
+            return grads, loss
+
+        monkeypatch.setattr(train_module, "accumulate_gradients", poisoned)
+        with pytest.raises(DivergenceError, match="msc.2.conv1.weight") as exc:
+            train(net, ds, cfg, adam=adam, checkpoint_path=ckpt)
+        assert adam.t == k - 1
+        assert [e.step for e in exc.value.history] == [1, 2, 3, 4]
+        for name, p in net.named_parameters():
+            assert p.data.tobytes() == before["params"][name].tobytes(), name
+        for moments, saved in ((adam.m, before["m"]), (adam.v, before["v"])):
+            assert moments.keys() == saved.keys()
+            for name, arr in moments.items():
+                assert arr.tobytes() == saved[name].tobytes(), name
+        # the step-4 checkpoint holds exactly the state the failed step started from
+        assert ckpt.read_bytes() == (tmp_path / "before.otf").read_bytes()
 
     def test_dataset_smaller_than_effective_batch_rejected(self):
         with pytest.raises(ValueError, match="effective"):
