@@ -1,73 +1,3 @@
 """omeganet: dual-supervised small-object segmentation with a self-contained engine."""
 
-from .tensor import (
-    Tensor,
-    ShapeError,
-    no_grad,
-    conv2d,
-    transposed_conv2d,
-    maxpool2d,
-    adaptive_avg_pool_to_k,
-    matmul,
-    transpose_last2,
-    softmax_rows,
-    add,
-    relu,
-    sigmoid,
-    scale,
-    concat_channels,
-    reshape,
-    sum_all,
-    mean_all,
-    bce_with_logits,
-)
-from .blocks import (
-    ConvParams,
-    ConvBlockParams,
-    MscParams,
-    DspaParams,
-    conv_block,
-    cascade_msc,
-    dspa,
-    channel_attention,
-    mdsa,
-)
-from .net import (
-    ModelConfig,
-    OmegaNet,
-    DualOutput,
-    CheckpointError,
-    bce_loss,
-    dual_loss,
-    save_checkpoint,
-    load_checkpoint,
-    build_from_checkpoint,
-)
-from .train import (
-    AdamState,
-    DivergenceError,
-    MetricsReport,
-    TrainLoopConfig,
-    adam_step,
-    accumulate_gradients,
-    compute_metrics,
-    evaluate,
-    train,
-)
-from .data import (
-    SyntheticSpec,
-    Sample,
-    SyntheticDataset,
-    DiskDataset,
-    OtfError,
-    generate,
-    split_ranges,
-    read_otf,
-    write_otf,
-    read_pgm,
-    write_pgm,
-    write_mask_pgm,
-    write_dataset,
-)
-
 __version__ = "0.1.0"

@@ -51,10 +51,6 @@ class ConvParams:
     def in_channels(self):
         return self.weight.shape[0] if self.transposed else self.weight.shape[1]
 
-    @property
-    def out_channels(self):
-        return self.weight.shape[1] if self.transposed else self.weight.shape[0]
-
     def named_parameters(self, prefix):
         yield f"{prefix}.weight", self.weight
         yield f"{prefix}.bias", self.bias
@@ -93,14 +89,6 @@ class ConvBlockParams:
 
     conv1: ConvParams
     conv2: ConvParams
-
-    @property
-    def in_channels(self):
-        return self.conv1.in_channels
-
-    @property
-    def out_channels(self):
-        return self.conv2.out_channels
 
     def named_parameters(self, prefix):
         yield from self.conv1.named_parameters(f"{prefix}.conv1")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -67,14 +67,8 @@ class RunConfig:
     paths: dict
 
 
-_TRAIN_KEYS = {
-    "epochs", "micro_batch_size", "accumulation_steps", "eval_interval",
-    "threshold", "seed", "lr", "weight_decay",
-}
-_DATA_KEYS = {
-    "image_size", "n_samples", "organ_radius", "tumor_radius", "noise_sigma",
-    "background_level", "organ_level", "tumor_level", "seed",
-}
+_TRAIN_KEYS = {f.name for f in fields(TrainLoopConfig)} | {"lr", "weight_decay"}
+_DATA_KEYS = {f.name for f in fields(SyntheticSpec)}
 _PATH_KEYS = {"data_dir", "checkpoint", "metrics_csv"}
 
 
@@ -157,14 +151,13 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config)
-    lr = args.lr if args.lr is not None else cfg.lr
     dataset = DiskDataset(cfg.paths["data_dir"], "train")
     if args.resume:
         net, extra = build_from_checkpoint(args.resume, expected=cfg.model)
-        adam = adam_state_from_arrays(extra, lr=lr, weight_decay=cfg.weight_decay)
+        adam = adam_state_from_arrays(extra, lr=cfg.lr, weight_decay=cfg.weight_decay)
     else:
         net = OmegaNet(cfg.model, seed=cfg.train.seed)
-        adam = AdamState(lr=lr, weight_decay=cfg.weight_decay)
+        adam = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
 
     checkpoint_path = cfg.paths["checkpoint"]
     Path(checkpoint_path).parent.mkdir(parents=True, exist_ok=True)
@@ -271,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model on the generated dataset")
     p.add_argument("--config", required=True)
     p.add_argument("--resume", help="checkpoint to continue from")
-    p.add_argument("--lr", type=float, help="override the configured learning rate")
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset split")

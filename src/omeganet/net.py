@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -108,25 +108,11 @@ class ModelConfig:
         return self
 
     def to_dict(self):
-        return {
-            "depth": self.depth,
-            "encoder_channels": list(self.encoder_channels),
-            "decoder_channels": list(self.decoder_channels),
-            "out_channels": self.out_channels,
-            "k": self.k,
-            "lambda_s": self.lambda_s,
-            "lambda_a": self.lambda_a,
-            "input_size": self.input_size,
-            "mdsa_enabled": self.mdsa_enabled,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
-        allowed = {
-            "depth", "encoder_channels", "decoder_channels", "out_channels",
-            "k", "lambda_s", "lambda_a", "input_size", "mdsa_enabled",
-        }
-        unknown = set(d) - allowed
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown model config keys: {sorted(unknown)}")
         return cls(**d)
@@ -313,9 +299,10 @@ def _json_entry(obj) -> np.ndarray:
 
 def _entry_json(arr):
     arr = np.asarray(arr)
-    codes = arr.astype(np.uint8)
+    with np.errstate(invalid="ignore"):  # NaN and inf are caught by the check below
+        codes = arr.astype(np.uint8)
     if not np.array_equal(codes.astype(np.float32), arr.astype(np.float32)):
-        raise CheckpointError("corrupt config entry in checkpoint")
+        raise ValueError("its values are not bytes")
     return json.loads(bytes(codes).decode("utf-8"))
 
 
@@ -349,15 +336,18 @@ def load_checkpoint(path):
         raise CheckpointError(f"unreadable checkpoint: {e}") from e
     if CONFIG_ENTRY not in entries:
         raise CheckpointError(f"checkpoint {path} has no {CONFIG_ENTRY} entry")
-    config = ModelConfig.from_dict(_entry_json(entries.pop(CONFIG_ENTRY)))
+    try:
+        config = ModelConfig.from_dict(_entry_json(entries.pop(CONFIG_ENTRY)))
+    except (TypeError, ValueError) as e:
+        raise CheckpointError(f"corrupt config entry in checkpoint {path}: {e}") from e
     return config, entries
 
 
 def restore_parameters(net: OmegaNet, entries: dict) -> dict:
     """Copy parameter tensors into the net, validating names and shapes.
 
-    Non-parameter entries (trainer state, ``adam.*``) are returned untouched;
-    any other unknown tensor is an error.
+    Optimizer state entries (``adam.*``) are returned untouched; any other
+    unknown tensor is an error.
     """
     remaining = dict(entries)
     for name, p in net.named_parameters():
@@ -371,7 +361,7 @@ def restore_parameters(net: OmegaNet, entries: dict) -> dict:
             )
         p.data = arr.astype(net.dtype)
     for name in remaining:
-        if not (name.startswith("adam.") or name.startswith("trainer.")):
+        if not name.startswith("adam."):
             raise CheckpointError(f"unexpected tensor {name!r} in checkpoint")
     return remaining
 

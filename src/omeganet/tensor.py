@@ -11,8 +11,10 @@ each intermediate output is freed as soon as its last consumer is done.
 Ops preserve the dtype of their inputs.  Networks run in float32; the
 gradient-check suites build float64 tensors and exercise the identical code
 paths.  Convolutions go through im2col + GEMM; the naive loop versions live
-in :mod:`omeganet.reference` and are used only as test oracles.  A conv keeps
-no im2col columns on the tape: its backward gathers them again from the input.
+in :mod:`omeganet.reference` and are used only as test oracles.  Every window
+geometry (kernel, stride, dilation) is one strided view of the padded input:
+im2col copies it, col2im scatter-adds into it.  A conv keeps no im2col
+columns on the tape: its backward gathers them again from the input.
 """
 from __future__ import annotations
 
@@ -79,10 +81,6 @@ class Tensor:
 
     def item(self):
         return float(self.data)
-
-    def detach(self):
-        """A view of the same data with no graph history."""
-        return Tensor(self.data, requires_grad=False)
 
     def zero_grad(self):
         self.grad = None
@@ -169,32 +167,38 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int, dilation
     return (size + 2 * padding - eff) // stride + 1
 
 
-def _tiles(kh: int, kw: int, stride: int, dilation: int) -> bool:
-    """Whether the windows tile the input: no overlap and no gaps between them."""
-    return kh == kw == stride and (dilation == 1 or kh == 1)
+def _windows(xp: np.ndarray, kh: int, kw: int, stride: int, dilation: int,
+             out_h: int, out_w: int, writeable: bool = False) -> np.ndarray:
+    """The (N, C, kh, kw, out_h, out_w) strided view of every window of ``xp``.
+
+    view[n, c, i, j, y, x] is xp[n, c, y*stride + i*dilation, x*stride + j*dilation].
+    ``as_strided`` checks no bounds, so a geometry whose last window would
+    reach past ``xp`` raises ShapeError here.
+    """
+    n, c, h, w = xp.shape
+    if ((out_h - 1) * stride + (kh - 1) * dilation >= h
+            or (out_w - 1) * stride + (kw - 1) * dilation >= w):
+        raise ShapeError(
+            f"{out_h}x{out_w} windows of {kh}x{kw} (stride {stride}, dilation"
+            f" {dilation}) reach past a {h}x{w} input"
+        )
+    sn, sc, sh, sw = xp.strides
+    return np.lib.stride_tricks.as_strided(
+        xp, (n, c, kh, kw, out_h, out_w),
+        (sn, sc, sh * dilation, sw * dilation, sh * stride, sw * stride),
+        writeable=writeable,
+    )
 
 
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, dilation: int,
             out_h: int, out_w: int) -> np.ndarray:
     """Gather (N, C*kh*kw, out_h*out_w) patch columns from a padded input.
 
-    Tiling windows (a 1x1 stride-1 or a k x k stride-k kernel) are one
-    reshape/transpose; for 1x1 that is a view of ``xp`` with no copy.
+    One copy of the window view; a 1x1 stride-1 kernel's columns are a view
+    of ``xp`` with no copy.
     """
     n, c = xp.shape[:2]
-    if _tiles(kh, kw, stride, dilation):
-        cols = (xp[:, :, :out_h * kh, :out_w * kw]
-                .reshape(n, c, out_h, kh, out_w, kw)
-                .transpose(0, 1, 3, 5, 2, 4))
-        return cols.reshape(n, c * kh * kw, out_h * out_w)
-    cols = np.empty((n, c, kh, kw, out_h, out_w), dtype=xp.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[
-                :, :,
-                i * dilation: i * dilation + stride * out_h: stride,
-                j * dilation: j * dilation + stride * out_w: stride,
-            ]
+    cols = _windows(xp, kh, kw, stride, dilation, out_h, out_w)
     return cols.reshape(n, c * kh * kw, out_h * out_w)
 
 
@@ -202,20 +206,18 @@ def _col2im(cols: np.ndarray, n: int, c: int, h: int, w: int, kh: int, kw: int,
             stride: int, dilation: int, out_h: int, out_w: int) -> np.ndarray:
     """Scatter-add columns back into an (N, C, h, w) buffer; adjoint of _im2col.
 
-    Windows that tile the whole buffer never overlap, so there the scatter is
-    one reshape/transpose with no zero buffer.
+    Each tap (i, j) is added in turn through a writable window view of a zero
+    buffer.  A 1x1 stride-1 kernel covering the whole buffer is a reshape of
+    ``cols`` with no copy.
     """
     cols = cols.reshape(n, c, kh, kw, out_h, out_w)
-    if _tiles(kh, kw, stride, dilation) and (out_h * kh, out_w * kw) == (h, w):
-        return cols.transpose(0, 1, 4, 2, 5, 3).reshape(n, c, h, w)
+    if kh == kw == stride == 1 and (out_h, out_w) == (h, w):
+        return cols.reshape(n, c, h, w)
     xp = np.zeros((n, c, h, w), dtype=cols.dtype)
+    windows = _windows(xp, kh, kw, stride, dilation, out_h, out_w, writeable=True)
     for i in range(kh):
         for j in range(kw):
-            xp[
-                :, :,
-                i * dilation: i * dilation + stride * out_h: stride,
-                j * dilation: j * dilation + stride * out_w: stride,
-            ] += cols[:, :, i, j]
+            windows[:, :, i, j] += cols[:, :, i, j]
     return xp
 
 
@@ -323,10 +325,9 @@ def transposed_conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 2) 
     return _node(out, (x, weight, bias), backward)
 
 
-def maxpool2d(x: Tensor, window: int = 2, stride: int = 2) -> Tensor:
-    """Non-overlapping max pooling; gradient goes to the first max in each window."""
-    if window != stride:
-        raise ValueError("maxpool2d supports window == stride only")
+def maxpool2d(x: Tensor, window: int = 2) -> Tensor:
+    """Non-overlapping max pooling (stride = window); gradient goes to the first
+    max in each window."""
     if x.ndim != 4:
         raise ShapeError(f"maxpool2d expects rank-4 input, got shape {x.shape}")
     n, c, h, w = x.shape

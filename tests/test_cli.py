@@ -1,13 +1,15 @@
 """End-to-end command-line behavior: exit codes, files, determinism."""
-import importlib
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from omeganet.cli import main
+from omeganet import train as train_module
+from omeganet.cli import load_run_config, main
 from omeganet.data import generate, read_otf, read_pgm, write_otf, SyntheticSpec
 from omeganet.net import ModelConfig, OmegaNet, save_checkpoint
+from omeganet.train import TrainLoopConfig
 
 
 def make_config(tmp_path, **tweaks):
@@ -69,6 +71,16 @@ class TestConfigValidation:
         assert main(["gen-data", "--config", str(config)]) == 2
         assert "bogus_knob" in capsys.readouterr().err
 
+    def test_every_field_accepted_in_its_section(self, tmp_path):
+        config, _ = make_config(tmp_path)
+        raw = json.loads(config.read_text())
+        raw["train"].update(asdict(TrainLoopConfig()))
+        raw["data"].update(asdict(SyntheticSpec(image_size=16, n_samples=12)))
+        config.write_text(json.dumps(raw))
+        loaded = load_run_config(config)
+        assert loaded.train == TrainLoopConfig()
+        assert loaded.data == SyntheticSpec(image_size=16, n_samples=12)
+
     def test_invalid_json_rejected(self, tmp_path):
         config = tmp_path / "broken.json"
         config.write_text("{not json")
@@ -120,8 +132,11 @@ class TestTrain:
 
     def test_absurd_lr_diverges_with_exit_3(self, generated):
         config, cfg, tmp_path = generated
+        raw = json.loads(config.read_text())
+        raw["train"]["lr"] = 1e30
+        config.write_text(json.dumps(raw))
         with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["train", "--config", str(config), "--lr", "1e30"]) == 3
+            assert main(["train", "--config", str(config)]) == 3
 
     def test_resume_matches_straight_run(self, generated):
         config, cfg, tmp_path = generated
@@ -164,7 +179,6 @@ class TestTrain:
         raw = json.loads(config.read_text())
         raw["train"]["epochs"] = 3  # 2 steps per epoch, checkpoints at 2 and 4
         config.write_text(json.dumps(raw))
-        train_module = importlib.import_module("omeganet.train")
         accumulate = train_module.accumulate_gradients
         calls, at_step_5 = [], {}
 
@@ -216,6 +230,14 @@ class TestEval:
                      "--checkpoint", str(tmp_path / "wrong.otf"),
                      "--split", "val"]) == 4
         assert "enc.1.conv1.weight" in capsys.readouterr().err
+
+    def test_trainer_prefixed_tensor_exits_4_naming_it(self, generated, capsys):
+        config, cfg, tmp_path = generated
+        save_checkpoint(OmegaNet(ModelConfig(**cfg["model"]), seed=0), tmp_path / "stray.otf",
+                        extra={"trainer.x": np.zeros(1, dtype=np.float32)})
+        assert main(["eval", "--config", str(config),
+                     "--checkpoint", str(tmp_path / "stray.otf"), "--split", "val"]) == 4
+        assert "trainer.x" in capsys.readouterr().err
 
     @pytest.mark.parametrize("other", [dict(encoder_channels=[8, 16, 32]), dict(k=5)])
     def test_other_model_config_exits_4_naming_both(self, generated, capsys, other):
@@ -307,6 +329,35 @@ class TestPredict:
         write_otf(bad, {"image": np.zeros((1, 32, 32), dtype=np.float32)})
         assert main(["predict", "--checkpoint", cfg["paths"]["checkpoint"],
                      "--image", str(bad), "--out", str(tmp_path / "p")]) == 4
+
+
+def test_corrupt_checkpoint_exits_0_or_4(generated, capsys):
+    """Seeded bit flips anywhere in a checkpoint, and truncations, through
+    predict and eval: the file either still loads or the command exits 4."""
+    config, cfg, tmp_path = generated
+    good = tmp_path / "good.otf"
+    save_checkpoint(OmegaNet(ModelConfig(**cfg["model"]), seed=0), good)
+    blob = good.read_bytes()
+    rng = np.random.default_rng(11)
+    cases = []
+    for bit in rng.integers(0, 8 * len(blob), size=64):
+        flipped = bytearray(blob)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        cases.append((bytes(flipped), (0, 4)))
+    for length in rng.integers(0, len(blob), size=16):
+        cases.append((blob[:length], (4,)))
+    ckpt = tmp_path / "corrupt.otf"
+    image = str(tmp_path / "data" / "train" / "0000.img.otf")
+    for data, allowed in cases:
+        ckpt.write_bytes(data)
+        with np.errstate(all="ignore"):
+            codes = (
+                main(["predict", "--checkpoint", str(ckpt), "--image", image,
+                      "--out", str(tmp_path / "p")]),
+                main(["eval", "--config", str(config), "--checkpoint", str(ckpt),
+                      "--split", "val", "--out", str(tmp_path / "e.csv")]),
+            )
+        assert all(code in allowed for code in codes), (len(data), codes, capsys.readouterr().err)
 
 
 class TestVerifyCommand:

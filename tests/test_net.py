@@ -1,4 +1,6 @@
 """Network assembly: shape pipeline, losses, dual-supervision wiring, checkpoints."""
+import json
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,15 @@ class TestModelConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             ModelConfig.from_dict({"depth": 3, "bogus": 1})
+
+    def test_default_json_is_frozen(self):
+        # the checkpoint header is these bytes; changing them breaks old checkpoints
+        assert json.dumps(ModelConfig().to_dict(), sort_keys=True) == (
+            '{"decoder_channels": [1024, 512, 256, 128, 64], "depth": 5,'
+            ' "encoder_channels": [64, 128, 256, 512, 1024], "input_size": 512,'
+            ' "k": 10, "lambda_a": 1.0, "lambda_s": 10.0, "mdsa_enabled": true,'
+            ' "out_channels": 2}'
+        )
 
     def test_round_trip(self):
         cfg = toy_config()
@@ -336,3 +347,25 @@ class TestCheckpoint:
             save_checkpoint(OmegaNet(toy_config(), seed=1), path)
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["net.otf"]
+
+    def test_every_bit_flip_of_config_entry_loads_or_raises_checkpoint_error(
+            self, tmp_path, monkeypatch):
+        path = tmp_path / "net.otf"
+        save_checkpoint(OmegaNet(toy_config()), path)
+        entries = net_module.read_otf(path)
+        raw = bytearray(entries.pop(net_module.CONFIG_ENTRY).tobytes())
+        # the sweep flips bits of the decoded entry, so the file is read once
+        current = {}
+        monkeypatch.setattr(net_module, "read_otf", lambda _: dict(current))
+        loaded = 0
+        for bit in range(8 * len(raw)):
+            flipped = bytearray(raw)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            current = {net_module.CONFIG_ENTRY: np.frombuffer(flipped, dtype=np.float32)}
+            try:
+                load_checkpoint(path)
+                loaded += 1
+            except CheckpointError as e:
+                assert str(path) in str(e)
+        # some flips still parse as a valid config, so the sweep reaches from_dict
+        assert 0 < loaded < 8 * len(raw)

@@ -10,6 +10,9 @@ from omeganet.net import ModelConfig, OmegaNet
 from omeganet.tensor import (
     Tensor,
     _accumulate,
+    _col2im,
+    _im2col,
+    _windows,
     ShapeError,
     no_grad,
     add,
@@ -17,6 +20,7 @@ from omeganet.tensor import (
     bce_with_logits,
     concat_channels,
     conv2d,
+    conv_output_size,
     matmul,
     maxpool2d,
     mean_all,
@@ -138,6 +142,53 @@ class TestTransposedConv2d:
         w = t64(rng.normal(size=(2, 3, 2, 2)))
         with pytest.raises(ShapeError, match="channel mismatch"):
             transposed_conv2d(x, w, t64(np.zeros(3)), 2)
+
+
+# ---------------------------------------------------------------------------
+# window view, im2col and col2im
+# ---------------------------------------------------------------------------
+
+class TestWindows:
+    def test_col2im_is_exact_adjoint_of_im2col(self):
+        rng = np.random.default_rng(2006)
+        short = 0
+        for _ in range(200):
+            kh, kw = rng.integers(1, 6, size=2)
+            stride, dilation, padding = rng.integers(1, 4), rng.integers(1, 3), rng.integers(0, 3)
+            n, c = rng.integers(1, 3), rng.integers(1, 4)
+            eff_h, eff_w = dilation * (kh - 1) + 1, dilation * (kw - 1) + 1
+            h = rng.integers(max(1, eff_h - 2 * padding), eff_h + 8)
+            w = rng.integers(max(1, eff_w - 2 * padding), eff_w + 8)
+            out_h = conv_output_size(h, kh, stride, padding, dilation)
+            out_w = conv_output_size(w, kw, stride, padding, dilation)
+            hp, wp = h + 2 * padding, w + 2 * padding
+            short += (hp - eff_h) % stride != 0 or (wp - eff_w) % stride != 0
+            xp = rng.normal(size=(n, c, hp, wp))
+            cols = rng.normal(size=(n, c * kh * kw, out_h * out_w))
+            gathered = _im2col(xp, kh, kw, stride, dilation, out_h, out_w)
+            scattered = _col2im(cols, n, c, hp, wp, kh, kw, stride, dilation, out_h, out_w)
+            lhs, rhs = np.vdot(gathered, cols), np.vdot(xp, scattered)
+            assert abs(lhs - rhs) <= 1e-12 * np.vdot(np.abs(gathered), np.abs(cols))
+        assert short > 0  # some windows stop short of the edge
+
+    def test_1x1_stride_1_shares_memory(self, rng):
+        xp = rng.normal(size=(2, 3, 4, 5))
+        cols = _im2col(xp, 1, 1, 1, 1, 4, 5)
+        assert np.shares_memory(cols, xp)
+        back = _col2im(cols, 2, 3, 4, 5, 1, 1, 1, 1, 4, 5)
+        assert np.shares_memory(back, cols)
+        np.testing.assert_array_equal(back, xp)
+
+    def test_last_window_touches_the_edge(self, rng):
+        xp = rng.normal(size=(1, 2, 5, 5))
+        view = _windows(xp, 3, 2, 2, 2, 1, 2)
+        assert view[0, 1, 2, 1, 0, 1] == xp[0, 1, 4, 4]
+
+    @pytest.mark.parametrize("geometry", [(3, 3, 1, 1, 4, 3), (1, 1, 2, 1, 3, 4),
+                                          (3, 3, 1, 2, 2, 2)])
+    def test_overrunning_geometry_rejected(self, geometry):
+        with pytest.raises(ShapeError, match="reach past"):
+            _windows(np.zeros((1, 1, 5, 5)), *geometry)
 
 
 # ---------------------------------------------------------------------------

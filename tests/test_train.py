@@ -1,12 +1,13 @@
 """Optimizer, accumulation, metrics, and training-loop behavior."""
 import gc
-import importlib
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 
 from omeganet import reference, verify
+from omeganet import train as train_module
 from omeganet.data import SyntheticDataset, SyntheticSpec, stack_samples
 from omeganet.net import ModelConfig, OmegaNet, save_checkpoint, build_from_checkpoint
 from omeganet.tensor import Tensor
@@ -24,9 +25,6 @@ from omeganet.train import (
     train,
     write_history_csv,
 )
-
-# the package re-exports the function train, which hides the module of that name
-train_module = importlib.import_module("omeganet.train")
 
 
 def toy_net(seed=0, dtype=np.float32, **overrides):
@@ -293,6 +291,10 @@ class TestMetrics:
 
 
 class TestTrainLoop:
+    def test_package_root_yields_the_module(self):
+        assert isinstance(train_module, types.ModuleType)
+        assert train_module.train is train
+
     def test_zero_epochs_changes_nothing(self):
         net = toy_net()
         before = {n: p.data.copy() for n, p in net.named_parameters()}
