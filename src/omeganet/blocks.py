@@ -37,12 +37,11 @@ class ConvParams:
     """One convolution layer: weight, bias, and its geometry.
 
     For a regular conv the weight is (out_c, in_c, kh, kw); for a transposed
-    conv it is (in_c, out_c, kh, kw) and ``stride`` is the upsampling factor.
+    conv it is (in_c, out_c, k, k) and k is the up-sampling factor.
     """
 
     weight: Tensor
     bias: Tensor
-    stride: int = 1
     padding: int = 0
     dilation: int = 1
     transposed: bool = False
@@ -56,8 +55,8 @@ class ConvParams:
         yield f"{prefix}.bias", self.bias
 
 
-def kaiming_conv(rng, in_channels, out_channels, kernel, *, stride=1, padding=0,
-                 dilation=1, transposed=False, dtype=np.float32) -> ConvParams:
+def kaiming_conv(rng, in_channels, out_channels, kernel, *, padding=0, dilation=1,
+                 transposed=False, dtype=np.float32) -> ConvParams:
     """Kaiming-uniform fan-in weights (bound sqrt(6/fan_in)), zero bias."""
     fan_in = in_channels * kernel * kernel
     bound = np.sqrt(6.0 / fan_in)
@@ -68,15 +67,14 @@ def kaiming_conv(rng, in_channels, out_channels, kernel, *, stride=1, padding=0,
     weight = Tensor(rng.uniform(-bound, bound, size=shape).astype(dtype),
                     requires_grad=True)
     bias = Tensor(np.zeros(out_channels, dtype=dtype), requires_grad=True)
-    return ConvParams(weight, bias, stride=stride, padding=padding,
-                      dilation=dilation, transposed=transposed)
+    return ConvParams(weight, bias, padding=padding, dilation=dilation,
+                      transposed=transposed)
 
 
 def apply_conv(x: Tensor, p: ConvParams) -> Tensor:
     if p.transposed:
-        return transposed_conv2d(x, p.weight, p.bias, stride=p.stride)
-    return conv2d(x, p.weight, p.bias, stride=p.stride, padding=p.padding,
-                  dilation=p.dilation)
+        return transposed_conv2d(x, p.weight, p.bias)
+    return conv2d(x, p.weight, p.bias, padding=p.padding, dilation=p.dilation)
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +83,7 @@ def apply_conv(x: Tensor, p: ConvParams) -> Tensor:
 
 @dataclass
 class ConvBlockParams:
-    """Two consecutive 3x3 convolutions (pad 1, stride 1), each followed by relu."""
+    """Two consecutive 3x3 convolutions (pad 1), each followed by relu."""
 
     conv1: ConvParams
     conv2: ConvParams

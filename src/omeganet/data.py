@@ -132,17 +132,16 @@ def split_ranges(n_samples: int) -> dict:
 
 
 class SyntheticDataset:
-    """Index-addressable view over generated samples (optionally a sub-range)."""
+    """Index-addressable view over the spec's generated samples."""
 
-    def __init__(self, spec: SyntheticSpec, indices=None):
+    def __init__(self, spec: SyntheticSpec):
         self.spec = spec
-        self.indices = list(indices) if indices is not None else list(range(spec.n_samples))
 
     def __len__(self):
-        return len(self.indices)
+        return self.spec.n_samples
 
     def __getitem__(self, i) -> Sample:
-        return generate(self.spec, self.indices[i])
+        return generate(self.spec, i)
 
 
 def stack_samples(samples, dtype=np.float32):

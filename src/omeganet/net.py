@@ -52,15 +52,15 @@ def _default_encoder_channels():
 class ModelConfig:
     """Architecture and loss hyperparameters.
 
-    ``encoder_channels`` must double at every stage and ``decoder_channels``
-    is its reverse; ``input_size`` is the square input extent, a power of two
-    no smaller than 2**(depth-1).  ``mdsa_enabled=False`` builds the ablation
-    variant whose main-path skips bypass the attention stack.
+    ``encoder_channels`` must double at every stage, and the read-only
+    ``decoder_channels`` is its reverse; ``input_size`` is the square input
+    extent, a power of two no smaller than 2**(depth-1).
+    ``mdsa_enabled=False`` builds the ablation variant whose main-path skips
+    bypass the attention stack.
     """
 
     depth: int = 5
     encoder_channels: list = field(default_factory=_default_encoder_channels)
-    decoder_channels: list = None
     out_channels: int = 2
     k: int = 10
     lambda_s: float = 10.0
@@ -70,11 +70,11 @@ class ModelConfig:
 
     def __post_init__(self):
         self.encoder_channels = list(self.encoder_channels)
-        if self.decoder_channels is None:
-            self.decoder_channels = list(reversed(self.encoder_channels))
-        else:
-            self.decoder_channels = list(self.decoder_channels)
         self.validate()
+
+    @property
+    def decoder_channels(self):
+        return list(reversed(self.encoder_channels))
 
     def validate(self):
         if self.depth < 2:
@@ -89,8 +89,6 @@ class ModelConfig:
                 raise ValueError(
                     f"encoder_channels must double per stage, got {self.encoder_channels}"
                 )
-        if self.decoder_channels != list(reversed(self.encoder_channels)):
-            raise ValueError("decoder_channels must be the reverse of encoder_channels")
         if self.out_channels < 1:
             raise ValueError("out_channels must be >= 1")
         if self.k < 1:
@@ -112,10 +110,17 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d):
+        """The inverse of ``to_dict``; a ``decoder_channels`` key, which older
+        checkpoints carry, must be the reverse of ``encoder_channels``."""
+        d = dict(d)
+        legacy = d.pop("decoder_channels", None)
         unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown model config keys: {sorted(unknown)}")
-        return cls(**d)
+        config = cls(**d)
+        if legacy is not None and legacy != config.decoder_channels:
+            raise ValueError("decoder_channels must be the reverse of encoder_channels")
+        return config
 
 
 @dataclass
@@ -158,11 +163,11 @@ class OmegaNet:
         for j in range(1, d):
             c = dec_ch[j]
             self.aux_up.append(
-                kaiming_conv(rng, dec_ch[j - 1], c, 2, stride=2, transposed=True, dtype=dtype)
+                kaiming_conv(rng, dec_ch[j - 1], c, 2, transposed=True, dtype=dtype)
             )
             self.aux_block.append(init_conv_block(rng, 2 * c, c, c, dtype))
             self.main_up.append(
-                kaiming_conv(rng, dec_ch[j - 1], c, 2, stride=2, transposed=True, dtype=dtype)
+                kaiming_conv(rng, dec_ch[j - 1], c, 2, transposed=True, dtype=dtype)
             )
             self.main_block.append(init_conv_block(rng, 3 * c, c, c, dtype))
 
@@ -226,10 +231,8 @@ class OmegaNet:
             for j in range(1, d)
         ]
 
-    def decode_additional(self, encs, msc_outs=None):
+    def decode_additional(self, encs, msc_outs):
         """Auxiliary expansive path; returns its d-1 stage outputs."""
-        if msc_outs is None:
-            msc_outs = self.msc_skips(encs)
         outs = []
         prev = encs[-1]
         for j in range(1, self.config.depth):
@@ -238,10 +241,8 @@ class OmegaNet:
             outs.append(prev)
         return outs
 
-    def decode_original(self, encs, aux_feats, msc_outs=None):
+    def decode_original(self, encs, aux_feats, msc_outs):
         """Main expansive path with attended skips; returns its d-1 stage outputs."""
-        if msc_outs is None:
-            msc_outs = self.msc_skips(encs)
         outs = []
         prev = encs[-1]
         for j in range(1, self.config.depth):
@@ -344,11 +345,19 @@ def load_checkpoint(path):
 
 
 def restore_parameters(net: OmegaNet, entries: dict) -> dict:
-    """Copy parameter tensors into the net, validating names and shapes.
+    """Load parameter tensors into the net, validating names, shapes and values.
 
     Optimizer state entries (``adam.*``) are returned untouched; any other
-    unknown tensor is an error.
+    unknown tensor, and a NaN or an infinity in any tensor, is an error.
+    Parameter arrays of the net's dtype are taken over, not copied.
     """
+    with np.errstate(over="ignore"):
+        for name, arr in entries.items():
+            # one pass: a NaN, an infinity or an overflow leaves the sum of squares
+            # non-finite; min and max, which propagate NaN, tell an overflow apart
+            if not (np.isfinite(np.vdot(arr, arr))
+                    or (np.isfinite(arr.min()) and np.isfinite(arr.max()))):
+                raise CheckpointError(f"checkpoint tensor {name!r} holds a non-finite value")
     remaining = dict(entries)
     for name, p in net.named_parameters():
         if name not in remaining:
@@ -359,14 +368,14 @@ def restore_parameters(net: OmegaNet, entries: dict) -> dict:
                 f"checkpoint tensor {name!r} has shape {tuple(arr.shape)},"
                 f" expected {tuple(p.shape)}"
             )
-        p.data = arr.astype(net.dtype)
+        p.data = arr.astype(net.dtype, copy=False)
     for name in remaining:
         if not name.startswith("adam."):
             raise CheckpointError(f"unexpected tensor {name!r} in checkpoint")
     return remaining
 
 
-def build_from_checkpoint(path, dtype=np.float32, expected: ModelConfig | None = None):
+def build_from_checkpoint(path, expected: ModelConfig | None = None):
     """Rebuild a network from a checkpoint; returns (net, trainer state dict).
 
     With ``expected`` given, a checkpoint written for any other model config
@@ -378,6 +387,6 @@ def build_from_checkpoint(path, dtype=np.float32, expected: ModelConfig | None =
             f"checkpoint {path} holds model config {config.to_dict()},"
             f" but the run config has {expected.to_dict()}"
         )
-    net = OmegaNet(config, seed=0, dtype=dtype)
+    net = OmegaNet(config, seed=0)
     extra = restore_parameters(net, entries)
     return net, extra

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .tensor import Tensor, no_grad
-from .train import DivergenceError
+from .train import BETA1, BETA2, EPS, DivergenceError
 
 
 def conv2d_naive(x, w, b, stride=1, padding=0, dilation=1):
@@ -213,8 +213,8 @@ def adam_step_naive(params, grads, state) -> None:
         if g is not None and not np.isfinite(g).all():
             raise DivergenceError(f"non-finite gradient for parameter {name!r}")
     state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
+    bc1 = 1.0 - BETA1 ** state.t
+    bc2 = 1.0 - BETA2 ** state.t
     for name, p in params:
         g = grads.get(name)
         if g is None:
@@ -230,11 +230,11 @@ def adam_step_naive(params, grads, state) -> None:
             m = state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p.data = p.data - state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        p.data = p.data - state.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,12 @@ each intermediate output is freed as soon as its last consumer is done.
 Ops preserve the dtype of their inputs.  Networks run in float32; the
 gradient-check suites build float64 tensors and exercise the identical code
 paths.  Convolutions go through im2col + GEMM; the naive loop versions live
-in :mod:`omeganet.reference` and are used only as test oracles.  Every window
-geometry (kernel, stride, dilation) is one strided view of the padded input:
-im2col copies it, col2im scatter-adds into it.  A conv keeps no im2col
-columns on the tape: its backward gathers them again from the input.
+in :mod:`omeganet.reference` and are used only as test oracles.  A conv has
+stride 1 (any kernel, padding and dilation); a transposed conv up-samples by
+its square kernel's size k, with stride k.  Either window geometry is one
+strided view of the padded input: im2col copies it, col2im scatter-adds into
+it.  A conv keeps no im2col columns on the tape: its backward gathers them
+again from the input.
 """
 from __future__ import annotations
 
@@ -162,11 +164,6 @@ def _node(out_data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
 # im2col / col2im machinery (shared by conv2d and transposed_conv2d)
 # ---------------------------------------------------------------------------
 
-def conv_output_size(size: int, kernel: int, stride: int, padding: int, dilation: int) -> int:
-    eff = dilation * (kernel - 1) + 1
-    return (size + 2 * padding - eff) // stride + 1
-
-
 def _windows(xp: np.ndarray, kh: int, kw: int, stride: int, dilation: int,
              out_h: int, out_w: int, writeable: bool = False) -> np.ndarray:
     """The (N, C, kh, kw, out_h, out_w) strided view of every window of ``xp``.
@@ -225,12 +222,12 @@ def _col2im(cols: np.ndarray, n: int, c: int, h: int, w: int, kh: int, kw: int,
 # Convolution family
 # ---------------------------------------------------------------------------
 
-def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
-           padding: int = 0, dilation: int = 1) -> Tensor:
-    """2-d cross-correlation with zero padding.
+def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int = 0,
+           dilation: int = 1) -> Tensor:
+    """2-d stride-1 cross-correlation with zero padding.
 
     out[n,o,y,x] = bias[o] + sum_{c,i,j} weight[o,c,i,j] *
-                   x[n, c, y*stride - padding + i*dilation, x*stride - padding + j*dilation]
+                   x[n, c, y - padding + i*dilation, x - padding + j*dilation]
     """
     if x.ndim != 4:
         raise ShapeError(f"conv2d expects rank-4 input, got shape {x.shape}")
@@ -244,10 +241,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
         )
     if bias.shape != (c_out,):
         raise ShapeError(f"conv2d bias must have shape ({c_out},), got {bias.shape}")
-    if stride < 1 or padding < 0 or dilation < 1:
-        raise ValueError("conv2d requires stride >= 1, padding >= 0, dilation >= 1")
-    out_h = conv_output_size(h, kh, stride, padding, dilation)
-    out_w = conv_output_size(w, kw, stride, padding, dilation)
+    if padding < 0 or dilation < 1:
+        raise ValueError("conv2d requires padding >= 0, dilation >= 1")
+    out_h = h + 2 * padding - dilation * (kh - 1)
+    out_w = w + 2 * padding - dilation * (kw - 1)
     if out_h < 1 or out_w < 1:
         raise ShapeError(
             f"conv2d output spatial extent would be {out_h}x{out_w} for input {h}x{w}"
@@ -257,7 +254,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
         xp = x.data
         if padding:
             xp = np.pad(xp, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-        return _im2col(xp, kh, kw, stride, dilation, out_h, out_w)
+        return _im2col(xp, kh, kw, 1, dilation, out_h, out_w)
 
     # the columns are dropped after the GEMM; backward gathers them again
     w2 = weight.data.reshape(c_out, -1)
@@ -275,7 +272,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
         if x.requires_grad:
             dcols = np.matmul(w2.T, g2)
             dxp = _col2im(dcols, n, c_in, h + 2 * padding, w + 2 * padding,
-                          kh, kw, stride, dilation, out_h, out_w)
+                          kh, kw, 1, dilation, out_h, out_w)
             if padding:
                 dxp = dxp[:, :, padding:-padding, padding:-padding]
             _accumulate(x, dxp)
@@ -283,11 +280,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
     return _node(out, (x, weight, bias), backward)
 
 
-def transposed_conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 2) -> Tensor:
-    """Transposed convolution; the adjoint of a zero-padding conv2d forward.
+def transposed_conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """Up-sampling by k: the transposed convolution with a square k x k kernel
+    and stride k, whose windows tile the (k*H, k*W) output without overlap.
 
-    ``weight`` has shape (C_in, C_out, kH, kW) so that for shared weights
-    <conv2d(a, w), b> == <a, transposed_conv2d(b, w)> holds exactly.
+    ``weight`` has shape (C_in, C_out, k, k); it is the adjoint of the
+    unpadded conv with the same kernel and stride k (Dumoulin & Visin 2016,
+    arXiv:1603.07285).
     """
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError("transposed_conv2d expects rank-4 input and weight")
@@ -300,18 +299,17 @@ def transposed_conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 2) 
         )
     if bias.shape != (c_out,):
         raise ShapeError(f"transposed_conv2d bias must have shape ({c_out},), got {bias.shape}")
-    if stride < 1:
-        raise ValueError("transposed_conv2d requires stride >= 1")
-    out_h = (h - 1) * stride + kh
-    out_w = (w - 1) * stride + kw
+    if kh != kw:
+        raise ShapeError(f"transposed_conv2d needs a square kernel, got {kh}x{kw}")
+    out_h, out_w = kh * h, kw * w
 
     w2 = weight.data.reshape(c_in, c_out * kh * kw)
     cols = np.matmul(w2.T, x.data.reshape(n, c_in, h * w))
-    out = _col2im(cols, n, c_out, out_h, out_w, kh, kw, stride, 1, h, w)
+    out = _col2im(cols, n, c_out, out_h, out_w, kh, kw, kh, 1, h, w)
     out += bias.data.reshape(1, c_out, 1, 1)
 
     def backward(g):
-        gcols = _im2col(g, kh, kw, stride, 1, h, w)
+        gcols = _im2col(g, kh, kw, kh, 1, h, w)
         if bias.requires_grad:
             _accumulate(bias, g.sum(axis=(0, 2, 3)))
         if weight.requires_grad:
@@ -325,33 +323,30 @@ def transposed_conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 2) 
     return _node(out, (x, weight, bias), backward)
 
 
-def maxpool2d(x: Tensor, window: int = 2) -> Tensor:
-    """Non-overlapping max pooling (stride = window); gradient goes to the first
+def maxpool2d(x: Tensor) -> Tensor:
+    """Non-overlapping 2x2 max pooling (stride 2); gradient goes to the first
     max in each window."""
     if x.ndim != 4:
         raise ShapeError(f"maxpool2d expects rank-4 input, got shape {x.shape}")
     n, c, h, w = x.shape
-    if h % window or w % window:
-        raise ShapeError(
-            f"maxpool2d requires spatial extents divisible by {window}, got {h}x{w}"
-        )
-    out_h, out_w = h // window, w // window
-    kk = window * window
+    if h % 2 or w % 2:
+        raise ShapeError(f"maxpool2d requires spatial extents divisible by 2, got {h}x{w}")
+    out_h, out_w = h // 2, w // 2
     # windows flattened row-major so argmax picks the first occurrence on ties
     windows = (
-        x.data.reshape(n, c, out_h, window, out_w, window)
+        x.data.reshape(n, c, out_h, 2, out_w, 2)
         .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(n, c, out_h, out_w, kk)
+        .reshape(n, c, out_h, out_w, 4)
     )
     idx = windows.argmax(axis=-1)
     out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
 
     def backward(g):
         if x.requires_grad:
-            dwin = np.zeros((n, c, out_h, out_w, kk), dtype=g.dtype)
+            dwin = np.zeros((n, c, out_h, out_w, 4), dtype=g.dtype)
             np.put_along_axis(dwin, idx[..., None], g[..., None], axis=-1)
             dx = (
-                dwin.reshape(n, c, out_h, out_w, window, window)
+                dwin.reshape(n, c, out_h, out_w, 2, 2)
                 .transpose(0, 1, 2, 4, 3, 5)
                 .reshape(n, c, h, w)
             )

@@ -30,14 +30,15 @@ class DivergenceError(RuntimeError):
 # Adam
 # ---------------------------------------------------------------------------
 
+# Adam's moment decay rates and denominator offset (Kingma & Ba's defaults)
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     """Adam with L2-coupled weight decay (decay folded into the gradient)."""
 
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.00015
     t: int = 0
     m: dict = field(default_factory=dict)
@@ -76,10 +77,9 @@ def adam_step(params, grads, state: AdamState) -> None:
             if not np.isfinite(part, out=finite[:part.size]).all():
                 raise DivergenceError(f"non-finite gradient for parameter {name!r}")
     state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
-    wd, lr, eps = state.weight_decay, state.lr, state.eps
-    b1, b2 = state.beta1, state.beta2
+    bc1 = 1.0 - BETA1 ** state.t
+    bc2 = 1.0 - BETA2 ** state.t
+    wd, lr = state.weight_decay, state.lr
     scratch = None
     for name, p in params:
         if not (p.data.flags.c_contiguous and p.data.flags.writeable):
@@ -105,16 +105,16 @@ def adam_step(params, grads, state: AdamState) -> None:
             if wd:
                 np.multiply(wd, pc, out=b)
                 gc = np.add(gc, b, out=a)
-            mc *= b1
-            mc += np.multiply(1.0 - b1, gc, out=b)
-            vc *= b2
+            mc *= BETA1
+            mc += np.multiply(1.0 - BETA1, gc, out=b)
+            vc *= BETA2
             np.multiply(gc, gc, out=b)
-            vc += np.multiply(1.0 - b2, b, out=b)
+            vc += np.multiply(1.0 - BETA2, b, out=b)
             np.divide(mc, bc1, out=a)
             np.multiply(lr, a, out=a)
             np.divide(vc, bc2, out=b)
             np.sqrt(b, out=b)
-            np.add(b, eps, out=b)
+            np.add(b, EPS, out=b)
             np.divide(a, b, out=a)
             pc -= a
 

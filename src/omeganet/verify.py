@@ -65,24 +65,23 @@ def grad_suite(include_end_to_end: bool = True):
     w = _rand(rng, (4, 3, 3, 3), requires_grad=True)
     b = _rand(rng, (4,), requires_grad=True)
     results.append(_grad_check(
-        "conv2d", lambda: sum_all(conv2d(x, w, b, stride=1, padding=1)),
+        "conv2d", lambda: sum_all(conv2d(x, w, b, padding=1)),
         [("x", x), ("w", w), ("b", b)], GRAD_TOL_BLOCK))
 
-    # a 1x1 kernel's columns are a view of the input; a 2x2 stride-2 kernel tiles it
+    # a 1x1 kernel's columns are a view of the input
     rng_k = np.random.default_rng(5)
-    for name, k, stride in (("conv2d_1x1", 1, 1), ("conv2d_2x2_s2", 2, 2)):
-        xk = _rand(rng_k, (2, 3, 5, 5), requires_grad=True)
-        wk = _rand(rng_k, (4, 3, k, k), requires_grad=True)
-        bk = _rand(rng_k, (4,), requires_grad=True)
-        results.append(_grad_check(
-            name, lambda: sum_all(conv2d(xk, wk, bk, stride=stride)),
-            [("x", xk), ("w", wk), ("b", bk)], GRAD_TOL_BLOCK))
+    xk = _rand(rng_k, (2, 3, 5, 5), requires_grad=True)
+    wk = _rand(rng_k, (4, 3, 1, 1), requires_grad=True)
+    bk = _rand(rng_k, (4,), requires_grad=True)
+    results.append(_grad_check(
+        "conv2d_1x1", lambda: sum_all(conv2d(xk, wk, bk)),
+        [("x", xk), ("w", wk), ("b", bk)], GRAD_TOL_BLOCK))
 
     xt = _rand(rng, (2, 3, 4, 4), requires_grad=True)
     wt = _rand(rng, (3, 2, 2, 2), requires_grad=True)
     bt = _rand(rng, (2,), requires_grad=True)
     results.append(_grad_check(
-        "transposed_conv2d", lambda: sum_all(transposed_conv2d(xt, wt, bt, stride=2)),
+        "transposed_conv2d", lambda: sum_all(transposed_conv2d(xt, wt, bt)),
         [("x", xt), ("w", wt), ("b", bt)], GRAD_TOL_BLOCK))
 
     xp = _rand(rng, (1, 2, 4, 4), requires_grad=True)
@@ -162,27 +161,27 @@ def oracle_suite(instances: int = 100):
     for _ in range(instances):
         n, ci, co = rng.integers(1, 3), rng.integers(1, 5), rng.integers(1, 5)
         k = int(rng.choice([1, 2, 3]))
-        s, p, dl = int(rng.integers(1, 3)), int(rng.integers(0, 3)), int(rng.integers(1, 3))
+        p, dl = int(rng.integers(0, 3)), int(rng.integers(1, 3))
         h = int(rng.integers(max(1, dl * (k - 1) + 1 - 2 * p), 10))
         w = int(rng.integers(max(1, dl * (k - 1) + 1 - 2 * p), 10))
         x = rng.normal(size=(n, ci, h, w))
         wt = rng.normal(size=(co, ci, k, k))
         b = rng.normal(size=(co,))
-        got = conv2d(Tensor(x), Tensor(wt), Tensor(b), s, p, dl).data
-        ref = reference.conv2d_naive(x, wt, b, s, p, dl)
+        got = conv2d(Tensor(x), Tensor(wt), Tensor(b), p, dl).data
+        ref = reference.conv2d_naive(x, wt, b, 1, p, dl)
         worst = max(worst, reference.relative_error(got, ref))
     results.append(CheckResult("conv2d", worst, ORACLE_TOL))
 
-    # k == s tiles the output (one reshape); any other k, s takes the scatter-add
+    # the up-sampler's stride is its kernel size k
     worst = 0.0
     for _ in range(instances):
         n, ci, co = rng.integers(1, 3), rng.integers(1, 5), rng.integers(1, 5)
-        k, s = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        k = int(rng.integers(1, 4))
         x = rng.normal(size=(n, ci, int(rng.integers(1, 6)), int(rng.integers(1, 6))))
         wt = rng.normal(size=(ci, co, k, k))
         b = rng.normal(size=(co,))
-        got = transposed_conv2d(Tensor(x), Tensor(wt), Tensor(b), s).data
-        ref = reference.transposed_conv2d_naive(x, wt, b, s)
+        got = transposed_conv2d(Tensor(x), Tensor(wt), Tensor(b)).data
+        ref = reference.transposed_conv2d_naive(x, wt, b, k)
         worst = max(worst, reference.relative_error(got, ref))
     results.append(CheckResult("transposed_conv2d", worst, ORACLE_TOL))
 

@@ -1,0 +1,58 @@
+"""The benchmark's tracer wraps library names by lookup; they must all exist.
+
+``omegabench/tracer.py`` finds ``tensor._im2col``, ``tensor._col2im``,
+``net.apply_conv`` and the ``OmegaNet`` methods by name when a ``Probe`` is
+built, so renaming one would fail every benchmark run.  This runs one traced
+forward and backward of the smallest full network and checks that the spans
+the per-layer metrics read are recorded and that the originals come back.
+"""
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from omeganet import verify
+from omeganet.net import OmegaNet
+from omeganet.tensor import Tensor
+
+TRACER = Path(__file__).resolve().parent.parent / "omegabench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("omegabench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def bindings():
+    """Every attribute of every omeganet module, plus the wrapped class methods."""
+    found = {(name, attr): value
+             for name, module in list(sys.modules.items())
+             if name == "omeganet" or name.startswith("omeganet.")
+             for attr, value in vars(module).items()}
+    found.update({("OmegaNet", attr): value for attr, value in vars(OmegaNet).items()})
+    found[("Tensor", "backward")] = Tensor.backward
+    return found
+
+
+def test_probe_records_the_layer_spans_and_restores_the_library():
+    probe = load_tracer().Probe()
+    before = bindings()
+    probe.set_mode(True)
+    try:
+        rng = np.random.default_rng(0)
+        net = OmegaNet(verify.tiny_config(), seed=0, dtype=np.float64)
+        x = Tensor(rng.normal(size=(1, 1, 16, 16)), dtype=np.float64)
+        mask = Tensor((rng.uniform(size=(1, 2, 16, 16)) > 0.5).astype(np.float64))
+        net.loss(net.forward(x), mask).backward()
+    finally:
+        probe.set_mode(None)
+    names = {span[0] for span in probe.spans}
+    for name in ("tensor.im2col", "tensor.col2im", "blocks.up", "blocks.head",
+                 "net.decode_original"):
+        assert name in names, name
+    after = bindings()
+    assert after.keys() == before.keys()
+    assert all(after[key] is before[key] for key in before)

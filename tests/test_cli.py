@@ -360,6 +360,74 @@ def test_corrupt_checkpoint_exits_0_or_4(generated, capsys):
         assert all(code in allowed for code in codes), (len(data), codes, capsys.readouterr().err)
 
 
+def loading_commands(config, tmp_path, ckpt):
+    """Exit codes of predict, eval and train --resume, each loading ``ckpt``."""
+    image = str(tmp_path / "data" / "train" / "0000.img.otf")
+    with np.errstate(all="ignore"):
+        return (
+            main(["predict", "--checkpoint", str(ckpt), "--image", image,
+                  "--out", str(tmp_path / "p")]),
+            main(["eval", "--config", str(config), "--checkpoint", str(ckpt),
+                  "--split", "val", "--out", str(tmp_path / "e.csv")]),
+            main(["train", "--config", str(config), "--resume", str(ckpt)]),
+        )
+
+
+class TestNonFinitePayload:
+    @pytest.mark.parametrize("trained", [False, True], ids=["parameter", "adam"])
+    def test_nan_or_inf_in_last_float_exits_4(self, generated, capsys, trained):
+        config, cfg, tmp_path = generated
+        if trained:  # the last tensor is then the Adam second moment of the last bias
+            assert main(["train", "--config", str(config)]) == 0
+            blob = (tmp_path / "ckpt.otf").read_bytes()
+            name = "adam.v.head.main.bias"
+        else:
+            save_checkpoint(OmegaNet(ModelConfig(**cfg["model"]), seed=0), tmp_path / "good.otf")
+            blob = (tmp_path / "good.otf").read_bytes()
+            name = "head.main.bias"
+        capsys.readouterr()
+        ckpt = tmp_path / "poked.otf"
+        for value in (np.nan, np.inf, -np.inf):
+            ckpt.write_bytes(blob[:-4] + np.float32(value).tobytes())
+            assert loading_commands(config, tmp_path, ckpt) == (4, 4, 4), value
+            err = capsys.readouterr().err
+            assert err.count(f"{name!r} holds a non-finite value") == 3, err
+
+    def test_high_byte_flips_exit_4_exactly_when_non_finite(self, generated):
+        config, cfg, tmp_path = generated
+        net = OmegaNet(ModelConfig(**cfg["model"]), seed=0)
+        # exponent 127, so flipping its top bit gives exponent 255: a NaN
+        net.head_main.bias.data[-1] = 1.5
+        save_checkpoint(net, tmp_path / "good.otf")
+        blob = (tmp_path / "good.otf").read_bytes()
+        ckpt = tmp_path / "flipped.otf"
+        expected, got = [], []
+        for bit in range(8):
+            flipped = bytearray(blob)
+            flipped[-1] ^= 1 << bit
+            ckpt.write_bytes(bytes(flipped))
+            finite = np.isfinite(np.frombuffer(bytes(flipped[-4:]), dtype="<f4")[0])
+            expected.append((0, 0, 0) if finite else (4, 4, 4))
+            got.append(loading_commands(config, tmp_path, ckpt))
+        assert sorted(set(expected)) == [(0, 0, 0), (4, 4, 4)]
+        assert got == expected
+
+
+def test_legacy_decoder_channels_not_reversed_exits_4(generated, capsys):
+    config, cfg, tmp_path = generated
+    ckpt = tmp_path / "legacy.otf"
+    model = ModelConfig(**cfg["model"])
+    save_checkpoint(OmegaNet(model, seed=0), ckpt)
+    entries = read_otf(ckpt)
+    legacy = dict(model.to_dict(), decoder_channels=[16, 4, 8])
+    raw = json.dumps(legacy, sort_keys=True).encode("utf-8")
+    entries["config.json"] = np.frombuffer(raw, dtype=np.uint8).astype(np.float32)
+    write_otf(ckpt, entries)
+    assert main(["eval", "--config", str(config), "--checkpoint", str(ckpt),
+                 "--split", "val", "--out", str(tmp_path / "e.csv")]) == 4
+    assert "reverse of encoder_channels" in capsys.readouterr().err
+
+
 class TestVerifyCommand:
     def test_shape_suite_passes(self, capsys):
         assert main(["verify", "--suite", "shape"]) == 0

@@ -6,7 +6,7 @@ import pytest
 
 from omeganet import blocks
 from omeganet import net as net_module
-from omeganet.data import write_otf
+from omeganet.data import read_otf, write_otf
 from omeganet.net import (
     CheckpointError,
     DualOutput,
@@ -49,8 +49,8 @@ class TestModelConfig:
 
     def test_decoder_must_reverse_encoder(self):
         with pytest.raises(ValueError, match="reverse"):
-            ModelConfig(depth=3, encoder_channels=[4, 8, 16],
-                        decoder_channels=[16, 4, 8], input_size=16)
+            ModelConfig.from_dict(dict(depth=3, encoder_channels=[4, 8, 16],
+                                       decoder_channels=[16, 4, 8], input_size=16))
 
     def test_input_size_must_be_power_of_two(self):
         with pytest.raises(ValueError, match="power of two"):
@@ -65,10 +65,10 @@ class TestModelConfig:
             ModelConfig.from_dict({"depth": 3, "bogus": 1})
 
     def test_default_json_is_frozen(self):
-        # the checkpoint header is these bytes; changing them breaks old checkpoints
+        # the checkpoint header is these bytes; older checkpoints also carry
+        # decoder_channels, and must keep loading (TestCheckpoint)
         assert json.dumps(ModelConfig().to_dict(), sort_keys=True) == (
-            '{"decoder_channels": [1024, 512, 256, 128, 64], "depth": 5,'
-            ' "encoder_channels": [64, 128, 256, 512, 1024], "input_size": 512,'
+            '{"depth": 5, "encoder_channels": [64, 128, 256, 512, 1024], "input_size": 512,'
             ' "k": 10, "lambda_a": 1.0, "lambda_s": 10.0, "mdsa_enabled": true,'
             ' "out_channels": 2}'
         )
@@ -118,7 +118,7 @@ class TestDecoders:
         x = Tensor(rng.normal(size=(1, 1, 16, 16)).astype(np.float32))
         with no_grad():
             encs = net.encode(x)
-            aux = net.decode_additional(encs)
+            aux = net.decode_additional(encs, net.msc_skips(encs))
         assert [a.shape for a in aux] == [(1, 8, 8, 8), (1, 4, 16, 16)]
 
     def test_mdsa_input_channels_are_twice_decoder_channels(self):
@@ -131,7 +131,7 @@ class TestDecoders:
         net = OmegaNet(toy_config(), seed=0, dtype=np.float64)
         x = Tensor(rng.normal(size=(1, 1, 16, 16)), dtype=np.float64)
         encs = net.encode(x)
-        aux = net.decode_additional(encs)
+        aux = net.decode_additional(encs, net.msc_skips(encs))
         net.zero_grad()
         aux[-1].sum().backward()
         for name, p in net.named_parameters():
@@ -324,6 +324,28 @@ class TestCheckpoint:
         _, entries = load_checkpoint(path)
         with pytest.raises(CheckpointError, match="surprise"):
             restore_parameters(OmegaNet(toy_config(), seed=1), entries)
+
+    def test_legacy_config_with_decoder_channels_loads(self, tmp_path):
+        net = OmegaNet(toy_config(), seed=2)
+        path = tmp_path / "legacy.otf"
+        save_checkpoint(net, path)
+        entries = read_otf(path)
+        legacy = dict(net.config.to_dict(), decoder_channels=[16, 8, 4])
+        raw = json.dumps(legacy, sort_keys=True).encode("utf-8")
+        entries[net_module.CONFIG_ENTRY] = np.frombuffer(raw, dtype=np.uint8).astype(np.float32)
+        write_otf(path, entries)
+        loaded, _ = build_from_checkpoint(path)
+        assert loaded.config == net.config
+        for (na, pa), (_, pb) in zip(net.named_parameters(), loaded.named_parameters()):
+            np.testing.assert_array_equal(pa.data, pb.data, err_msg=na)
+
+    def test_huge_finite_values_load(self, tmp_path):
+        # their sum of squares overflows, so the finite check must look again
+        net = OmegaNet(toy_config(), seed=0)
+        net.head_main.bias.data[:] = [3e38, -3e38]
+        save_checkpoint(net, tmp_path / "net.otf")
+        loaded, _ = build_from_checkpoint(tmp_path / "net.otf")
+        np.testing.assert_array_equal(loaded.head_main.bias.data, net.head_main.bias.data)
 
     def test_config_header_survives(self, tmp_path):
         cfg = toy_config(mdsa_enabled=False, lambda_s=2.5)

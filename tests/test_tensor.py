@@ -20,7 +20,6 @@ from omeganet.tensor import (
     bce_with_logits,
     concat_channels,
     conv2d,
-    conv_output_size,
     matmul,
     maxpool2d,
     mean_all,
@@ -51,7 +50,7 @@ def rng():
 class TestConv2d:
     def test_ones_kernel_pad1(self):
         out = conv2d(t64(np.ones((1, 1, 3, 3))), t64(np.ones((1, 1, 3, 3))),
-                     t64(np.zeros(1)), stride=1, padding=1)
+                     t64(np.zeros(1)), padding=1)
         assert out.data[0, 0, 1, 1] == 9.0
         assert out.data[0, 0, 0, 0] == 4.0
         assert out.data[0, 0, 0, 2] == 4.0
@@ -65,7 +64,7 @@ class TestConv2d:
     def test_dilated_shape(self, rng):
         x = t64(rng.normal(size=(1, 3, 8, 8)))
         w = t64(rng.normal(size=(2, 3, 3, 3)))
-        out = conv2d(x, w, t64(np.zeros(2)), stride=1, padding=2, dilation=2)
+        out = conv2d(x, w, t64(np.zeros(2)), padding=2, dilation=2)
         assert out.shape == (1, 2, 8, 8)
 
     @pytest.mark.parametrize("case", range(12))
@@ -73,14 +72,14 @@ class TestConv2d:
         rng = np.random.default_rng(100 + case)
         n, ci, co = rng.integers(1, 3), rng.integers(1, 5), rng.integers(1, 5)
         k = int(rng.choice([1, 3]))
-        s, p, d = int(rng.integers(1, 3)), int(rng.integers(0, 3)), int(rng.integers(1, 3))
+        p, d = int(rng.integers(0, 3)), int(rng.integers(1, 3))
         h = int(rng.integers(max(1, d * (k - 1) + 1 - 2 * p), 10))
         w = int(rng.integers(max(1, d * (k - 1) + 1 - 2 * p), 10))
         x = rng.normal(size=(n, ci, h, w))
         wt = rng.normal(size=(co, ci, k, k))
         b = rng.normal(size=(co,))
-        got = conv2d(t64(x), t64(wt), t64(b), s, p, d).data
-        ref = reference.conv2d_naive(x, wt, b, s, p, d)
+        got = conv2d(t64(x), t64(wt), t64(b), p, d).data
+        ref = reference.conv2d_naive(x, wt, b, 1, p, d)
         assert reference.relative_error(got, ref) < 1e-10
 
     def test_channel_mismatch_names_dimension(self, rng):
@@ -103,26 +102,26 @@ class TestConv2d:
 class TestTransposedConv2d:
     def test_ones_scatter(self):
         out = transposed_conv2d(t64(np.ones((1, 1, 2, 2))), t64(np.ones((1, 1, 2, 2))),
-                                t64(np.zeros(1)), stride=2)
+                                t64(np.zeros(1)))
         np.testing.assert_array_equal(out.data, np.ones((1, 1, 4, 4)))
 
     @pytest.mark.parametrize("h,w", [(1, 1), (2, 3), (5, 4)])
     def test_doubles_spatial_extent(self, rng, h, w):
         x = t64(rng.normal(size=(1, 3, h, w)))
         wt = t64(rng.normal(size=(3, 2, 2, 2)))
-        out = transposed_conv2d(x, wt, t64(np.zeros(2)), stride=2)
+        out = transposed_conv2d(x, wt, t64(np.zeros(2)))
         assert out.shape == (1, 2, 2 * h, 2 * w)
 
     def test_zero_weights_zero_output(self, rng):
         x = t64(rng.normal(size=(2, 2, 3, 3)))
-        out = transposed_conv2d(x, t64(np.zeros((2, 4, 2, 2))), t64(np.zeros(4)), 2)
+        out = transposed_conv2d(x, t64(np.zeros((2, 4, 2, 2))), t64(np.zeros(4)))
         assert not out.data.any()
 
     def test_matches_scatter_oracle(self, rng):
         x = rng.normal(size=(2, 3, 4, 5))
         w = rng.normal(size=(3, 2, 2, 2))
         b = rng.normal(size=(2,))
-        got = transposed_conv2d(t64(x), t64(w), t64(b), 2).data
+        got = transposed_conv2d(t64(x), t64(w), t64(b)).data
         ref = reference.transposed_conv2d_naive(x, w, b, 2)
         assert reference.relative_error(got, ref) < 1e-12
 
@@ -130,9 +129,9 @@ class TestTransposedConv2d:
         for _ in range(5):
             x = rng.normal(size=(2, 3, 6, 6))
             w = rng.normal(size=(4, 3, 2, 2))
-            y = conv2d(t64(x), t64(w), t64(np.zeros(4)), stride=2).data
+            y = reference.conv2d_naive(x, w, np.zeros(4), stride=2)
             g = rng.normal(size=y.shape)
-            back = transposed_conv2d(t64(g), t64(w), t64(np.zeros(3)), stride=2).data
+            back = transposed_conv2d(t64(g), t64(w), t64(np.zeros(3))).data
             lhs = float((y * g).sum())
             rhs = float((x * back).sum())
             assert abs(lhs - rhs) < 1e-8 * max(1.0, abs(lhs))
@@ -141,7 +140,13 @@ class TestTransposedConv2d:
         x = t64(rng.normal(size=(1, 3, 4, 4)))
         w = t64(rng.normal(size=(2, 3, 2, 2)))
         with pytest.raises(ShapeError, match="channel mismatch"):
-            transposed_conv2d(x, w, t64(np.zeros(3)), 2)
+            transposed_conv2d(x, w, t64(np.zeros(3)))
+
+    def test_non_square_kernel_rejected(self, rng):
+        x = t64(rng.normal(size=(1, 3, 4, 4)))
+        w = t64(rng.normal(size=(3, 2, 2, 3)))
+        with pytest.raises(ShapeError, match="square kernel, got 2x3"):
+            transposed_conv2d(x, w, t64(np.zeros(2)))
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +164,8 @@ class TestWindows:
             eff_h, eff_w = dilation * (kh - 1) + 1, dilation * (kw - 1) + 1
             h = rng.integers(max(1, eff_h - 2 * padding), eff_h + 8)
             w = rng.integers(max(1, eff_w - 2 * padding), eff_w + 8)
-            out_h = conv_output_size(h, kh, stride, padding, dilation)
-            out_w = conv_output_size(w, kw, stride, padding, dilation)
             hp, wp = h + 2 * padding, w + 2 * padding
+            out_h, out_w = (hp - eff_h) // stride + 1, (wp - eff_w) // stride + 1
             short += (hp - eff_h) % stride != 0 or (wp - eff_w) % stride != 0
             xp = rng.normal(size=(n, c, hp, wp))
             cols = rng.normal(size=(n, c * kh * kw, out_h * out_w))
@@ -527,11 +531,11 @@ class TestTapeRelease:
         for (name, a), (_, b) in zip(kept.named_parameters(), consumed.named_parameters()):
             np.testing.assert_array_equal(a.grad, b.grad, err_msg=name)
 
-    @pytest.mark.parametrize("k,stride,padding", [(3, 1, 1), (1, 1, 0), (2, 2, 0), (3, 2, 1)])
-    def test_conv_closure_keeps_no_columns(self, rng, k, stride, padding):
+    @pytest.mark.parametrize("k,dilation,padding", [(3, 1, 1), (1, 1, 0), (3, 2, 2)])
+    def test_conv_closure_keeps_no_columns(self, rng, k, dilation, padding):
         x = t64(rng.normal(size=(2, 3, 8, 8)), requires_grad=True)
         w = t64(rng.normal(size=(4, 3, k, k)), requires_grad=True)
-        out = conv2d(x, w, t64(np.zeros(4)), stride=stride, padding=padding)
+        out = conv2d(x, w, t64(np.zeros(4)), padding=padding, dilation=dilation)
         cols_shape = (2, 3 * k * k, out.shape[2] * out.shape[3])
         shapes = [a.shape for a in closure_arrays(out._backward_fn)]
         assert shapes and cols_shape not in shapes
