@@ -4,7 +4,10 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  The overfit and ablation experiments (criteria 7 and 8) train real
 networks and together take several minutes on a laptop CPU.
 """
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -191,6 +194,31 @@ def _ablation_run(mdsa_enabled, seed, ds, train_idx, val_idx):
     return evaluate(net, ds, indices=val_idx).channels[1].dsc
 
 
+# what a worker's BLAS reads, when it imports numpy, for its thread count
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _in_workers(fn, calls):
+    """``[fn(*args) for args in calls]``, run in at most two fresh processes.
+
+    The calls must be independent.  Each worker's BLAS runs on one thread,
+    so two workers do not oversubscribe a two-core machine.
+    """
+    saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    try:
+        with ProcessPoolExecutor(min(2, os.cpu_count() or 1),
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            futures = [pool.submit(fn, *args) for args in calls]
+            return [f.result() for f in futures]
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
 def test_criterion_8_ablation_direction():
     from omeganet.data import split_ranges
     # slightly larger tumors and less noise than the generator defaults keep
@@ -202,8 +230,10 @@ def test_criterion_8_ablation_direction():
     splits = split_ranges(64)
     train_idx, val_idx = list(splits["train"]), list(splits["val"])
     start = time.time()
-    full = [_ablation_run(True, s, ds, train_idx, val_idx) for s in ABLATION_SEEDS]
-    ablated = [_ablation_run(False, s, ds, train_idx, val_idx) for s in ABLATION_SEEDS]
+    dsc = _in_workers(_ablation_run, [(mdsa_enabled, s, ds, train_idx, val_idx)
+                                      for mdsa_enabled in (True, False)
+                                      for s in ABLATION_SEEDS])
+    full, ablated = dsc[:len(ABLATION_SEEDS)], dsc[len(ABLATION_SEEDS):]
     elapsed = time.time() - start
     mean_full, mean_ablated = float(np.mean(full)), float(np.mean(ablated))
     ok = mean_full >= mean_ablated - 0.02
