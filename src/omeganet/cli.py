@@ -100,8 +100,8 @@ def load_run_config(path) -> RunConfig:
 
     tr = dict(raw["train"])
     _check_keys("train", tr, _TRAIN_KEYS)
-    lr = float(tr.pop("lr", 1e-4))
-    weight_decay = float(tr.pop("weight_decay", 0.00015))
+    lr = float(tr.pop("lr", AdamState.lr))
+    weight_decay = float(tr.pop("weight_decay", AdamState.weight_decay))
     try:
         loop = TrainLoopConfig(**tr).validate()
     except (TypeError, ValueError) as e:

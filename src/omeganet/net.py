@@ -281,8 +281,8 @@ def bce_loss(logits: Tensor, mask: Tensor) -> Tensor:
     return bce_with_logits(logits, mask)
 
 
-def dual_loss(out: DualOutput, mask: Tensor, lambda_s: float = 10.0,
-              lambda_a: float = 1.0) -> Tensor:
+def dual_loss(out: DualOutput, mask: Tensor, lambda_s: float = ModelConfig.lambda_s,
+              lambda_a: float = ModelConfig.lambda_a) -> Tensor:
     """lambda_s * BCE(main) + lambda_a * BCE(aux)."""
     main = scale(bce_loss(out.main_logits, mask), lambda_s)
     aux = scale(bce_loss(out.aux_logits, mask), lambda_a)

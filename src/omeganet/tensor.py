@@ -12,11 +12,11 @@ Ops preserve the dtype of their inputs.  Networks run in float32; the
 gradient-check suites build float64 tensors and exercise the identical code
 paths.  Convolutions go through im2col + GEMM; the naive loop versions live
 in :mod:`omeganet.reference` and are used only as test oracles.  A conv has
-stride 1 (any kernel, padding and dilation); a transposed conv up-samples by
-its square kernel's size k, with stride k.  Either window geometry is one
-strided view of the padded input: im2col copies it, col2im scatter-adds into
-it.  A conv keeps no im2col columns on the tape: its backward gathers them
-again from the input.
+stride 1 (any kernel, padding and dilation); its windows are one strided
+view of the padded input: im2col copies it, col2im scatter-adds into it, and
+the backward gathers the columns again from the input instead of keeping
+them.  A transposed conv up-samples by its square kernel's size k with
+stride k; its windows never overlap, so it is a GEMM plus a pixel shuffle.
 """
 from __future__ import annotations
 
@@ -161,57 +161,48 @@ def _node(out_data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# im2col / col2im machinery (shared by conv2d and transposed_conv2d)
+# im2col / col2im machinery (stride-1 conv2d only)
 # ---------------------------------------------------------------------------
 
-def _windows(xp: np.ndarray, kh: int, kw: int, stride: int, dilation: int,
-             out_h: int, out_w: int, writeable: bool = False) -> np.ndarray:
-    """The (N, C, kh, kw, out_h, out_w) strided view of every window of ``xp``.
+def _windows(xp: np.ndarray, kh: int, kw: int, dilation: int,
+             writeable: bool = False) -> np.ndarray:
+    """The (N, C, kh, kw, out_h, out_w) view of every stride-1 window of ``xp``.
 
-    view[n, c, i, j, y, x] is xp[n, c, y*stride + i*dilation, x*stride + j*dilation].
-    ``as_strided`` checks no bounds, so a geometry whose last window would
-    reach past ``xp`` raises ShapeError here.
+    view[n, c, i, j, y, x] is xp[n, c, y + i*dilation, x + j*dilation], with
+    out = extent - (k - 1)*dilation along each axis, so no window reaches past
+    ``xp``.
     """
     n, c, h, w = xp.shape
-    if ((out_h - 1) * stride + (kh - 1) * dilation >= h
-            or (out_w - 1) * stride + (kw - 1) * dilation >= w):
-        raise ShapeError(
-            f"{out_h}x{out_w} windows of {kh}x{kw} (stride {stride}, dilation"
-            f" {dilation}) reach past a {h}x{w} input"
-        )
     sn, sc, sh, sw = xp.strides
     return np.lib.stride_tricks.as_strided(
-        xp, (n, c, kh, kw, out_h, out_w),
-        (sn, sc, sh * dilation, sw * dilation, sh * stride, sw * stride),
+        xp, (n, c, kh, kw, h - (kh - 1) * dilation, w - (kw - 1) * dilation),
+        (sn, sc, sh * dilation, sw * dilation, sh, sw),
         writeable=writeable,
     )
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, dilation: int,
-            out_h: int, out_w: int) -> np.ndarray:
+def _im2col(xp: np.ndarray, kh: int, kw: int, dilation: int) -> np.ndarray:
     """Gather (N, C*kh*kw, out_h*out_w) patch columns from a padded input.
 
-    One copy of the window view; a 1x1 stride-1 kernel's columns are a view
-    of ``xp`` with no copy.
+    One copy of the window view; a 1x1 kernel's columns are a view of ``xp``
+    with no copy.
     """
-    n, c = xp.shape[:2]
-    cols = _windows(xp, kh, kw, stride, dilation, out_h, out_w)
-    return cols.reshape(n, c * kh * kw, out_h * out_w)
+    windows = _windows(xp, kh, kw, dilation)
+    n, c, _, _, out_h, out_w = windows.shape
+    return windows.reshape(n, c * kh * kw, out_h * out_w)
 
 
-def _col2im(cols: np.ndarray, n: int, c: int, h: int, w: int, kh: int, kw: int,
-            stride: int, dilation: int, out_h: int, out_w: int) -> np.ndarray:
-    """Scatter-add columns back into an (N, C, h, w) buffer; adjoint of _im2col.
+def _col2im(cols: np.ndarray, shape, kh: int, kw: int, dilation: int) -> np.ndarray:
+    """Scatter-add columns into a zero (N, C, h, w) buffer of ``shape``; adjoint of _im2col.
 
     Each tap (i, j) is added in turn through a writable window view of a zero
-    buffer.  A 1x1 stride-1 kernel covering the whole buffer is a reshape of
-    ``cols`` with no copy.
+    buffer.  A 1x1 kernel's buffer is a reshape of ``cols`` with no copy.
     """
-    cols = cols.reshape(n, c, kh, kw, out_h, out_w)
-    if kh == kw == stride == 1 and (out_h, out_w) == (h, w):
-        return cols.reshape(n, c, h, w)
-    xp = np.zeros((n, c, h, w), dtype=cols.dtype)
-    windows = _windows(xp, kh, kw, stride, dilation, out_h, out_w, writeable=True)
+    if kh == kw == 1:
+        return cols.reshape(shape)
+    xp = np.zeros(shape, dtype=cols.dtype)
+    windows = _windows(xp, kh, kw, dilation, writeable=True)
+    cols = cols.reshape(windows.shape)
     for i in range(kh):
         for j in range(kw):
             windows[:, :, i, j] += cols[:, :, i, j]
@@ -254,7 +245,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int = 0,
         xp = x.data
         if padding:
             xp = np.pad(xp, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-        return _im2col(xp, kh, kw, 1, dilation, out_h, out_w)
+        return _im2col(xp, kh, kw, dilation)
 
     # the columns are dropped after the GEMM; backward gathers them again
     w2 = weight.data.reshape(c_out, -1)
@@ -271,8 +262,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int = 0,
             _accumulate(weight, dw.reshape(weight.shape))
         if x.requires_grad:
             dcols = np.matmul(w2.T, g2)
-            dxp = _col2im(dcols, n, c_in, h + 2 * padding, w + 2 * padding,
-                          kh, kw, 1, dilation, out_h, out_w)
+            dxp = _col2im(dcols, (n, c_in, h + 2 * padding, w + 2 * padding),
+                          kh, kw, dilation)
             if padding:
                 dxp = dxp[:, :, padding:-padding, padding:-padding]
             _accumulate(x, dxp)
@@ -286,12 +277,13 @@ def transposed_conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
     ``weight`` has shape (C_in, C_out, k, k); it is the adjoint of the
     unpadded conv with the same kernel and stride k (Dumoulin & Visin 2016,
-    arXiv:1603.07285).
+    arXiv:1603.07285).  Each output pixel gets one product, so a pixel shuffle
+    (Shi et al. 2016, arXiv:1609.05158) places the GEMM's columns.
     """
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError("transposed_conv2d expects rank-4 input and weight")
     n, c_in, h, w = x.shape
-    c_w, c_out, kh, kw = weight.shape
+    c_w, c_out, k, kw = weight.shape
     if c_in != c_w:
         raise ShapeError(
             f"transposed_conv2d channel mismatch: input has {c_in} channels,"
@@ -299,17 +291,18 @@ def transposed_conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         )
     if bias.shape != (c_out,):
         raise ShapeError(f"transposed_conv2d bias must have shape ({c_out},), got {bias.shape}")
-    if kh != kw:
-        raise ShapeError(f"transposed_conv2d needs a square kernel, got {kh}x{kw}")
-    out_h, out_w = kh * h, kw * w
+    if k != kw:
+        raise ShapeError(f"transposed_conv2d needs a square kernel, got {k}x{kw}")
 
-    w2 = weight.data.reshape(c_in, c_out * kh * kw)
+    w2 = weight.data.reshape(c_in, c_out * k * k)
     cols = np.matmul(w2.T, x.data.reshape(n, c_in, h * w))
-    out = _col2im(cols, n, c_out, out_h, out_w, kh, kw, kh, 1, h, w)
+    out = (cols.reshape(n, c_out, k, k, h, w).transpose(0, 1, 4, 2, 5, 3)
+           .reshape(n, c_out, k * h, k * w))
     out += bias.data.reshape(1, c_out, 1, 1)
 
     def backward(g):
-        gcols = _im2col(g, kh, kw, kh, 1, h, w)
+        gcols = (g.reshape(n, c_out, h, k, w, k).transpose(0, 1, 3, 5, 2, 4)
+                 .reshape(n, c_out * k * k, h * w))
         if bias.requires_grad:
             _accumulate(bias, g.sum(axis=(0, 2, 3)))
         if weight.requires_grad:

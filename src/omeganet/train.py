@@ -129,7 +129,8 @@ def adam_state_arrays(state: AdamState) -> dict:
     return out
 
 
-def adam_state_from_arrays(arrays: dict, lr=1e-4, weight_decay=0.00015) -> AdamState:
+def adam_state_from_arrays(arrays: dict, lr=AdamState.lr,
+                           weight_decay=AdamState.weight_decay) -> AdamState:
     state = AdamState(lr=lr, weight_decay=weight_decay)
     state.t = int(arrays.get("adam.t", np.zeros(1))[0])
     for name, arr in arrays.items():

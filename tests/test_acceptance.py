@@ -26,7 +26,7 @@ def report(name, ok, detail):
 
 def test_criterion_1_gradient_correctness():
     start = time.time()
-    results = verify.grad_suite(include_end_to_end=True)
+    results = verify.grad_suite()
     elapsed = time.time() - start
     worst_block = max(r.worst for r in results if r.name != "end_to_end")
     e2e = next(r for r in results if r.name == "end_to_end")
@@ -38,7 +38,7 @@ def test_criterion_1_gradient_correctness():
 
 def test_criterion_2_oracle_equivalence():
     start = time.time()
-    results = verify.oracle_suite(instances=100)
+    results = verify.oracle_suite()
     elapsed = time.time() - start
     ok = all(r.passed for r in results) and elapsed < 120
     detail = ", ".join(f"{r.name} {r.worst:.1e}" for r in results)

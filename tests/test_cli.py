@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: exit codes, files, determinism."""
 import json
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -138,27 +139,35 @@ class TestTrain:
         with np.errstate(over="ignore", invalid="ignore"):
             assert main(["train", "--config", str(config)]) == 3
 
-    def test_resume_matches_straight_run(self, generated):
+    def test_resume_matches_straight_run(self, generated, monkeypatch):
+        # resuming from every eval point, mid-epoch ones included, ends on the
+        # straight run's checkpoint bytes and replays its remaining rows
         config, cfg, tmp_path = generated
-        assert main(["train", "--config", str(config)]) == 0
-        straight = (tmp_path / "metrics.csv").read_text().strip().splitlines()
-
         raw = json.loads(config.read_text())
-        raw["train"]["epochs"] = 1
-        raw["paths"]["checkpoint"] = str(tmp_path / "half.otf")
-        raw["paths"]["metrics_csv"] = str(tmp_path / "half.csv")
+        raw["train"]["eval_interval"] = 1  # 2 steps per epoch: steps 1 and 3 are mid-epoch
         config.write_text(json.dumps(raw))
-        assert main(["train", "--config", str(config)]) == 0
+        save, copies = train_module.save_checkpoint, []
 
-        raw["train"]["epochs"] = 2
+        def save_and_copy(net, path, extra=None):
+            save(net, path, extra=extra)
+            copies.append(tmp_path / f"step{len(copies) + 1}.otf")
+            copies[-1].write_bytes(Path(path).read_bytes())
+
+        monkeypatch.setattr(train_module, "save_checkpoint", save_and_copy)
+        assert main(["train", "--config", str(config)]) == 0
+        monkeypatch.undo()
+        straight_ckpt = (tmp_path / "ckpt.otf").read_bytes()
+        straight = (tmp_path / "metrics.csv").read_text().strip().splitlines()
+        assert len(copies) == len(straight) - 1 == 4
+
         raw["paths"]["checkpoint"] = str(tmp_path / "resumed.otf")
         raw["paths"]["metrics_csv"] = str(tmp_path / "resumed.csv")
         config.write_text(json.dumps(raw))
-        assert main(["train", "--config", str(config),
-                     "--resume", str(tmp_path / "half.otf")]) == 0
-        resumed = (tmp_path / "resumed.csv").read_text().strip().splitlines()
-        # the resumed run replays exactly the straight run's remaining steps
-        assert resumed[1:] == straight[3:]
+        for step, copy in enumerate(copies, 1):
+            assert main(["train", "--config", str(config), "--resume", str(copy)]) == 0
+            resumed = (tmp_path / "resumed.csv").read_text().strip().splitlines()
+            assert (tmp_path / "resumed.otf").read_bytes() == straight_ckpt, step
+            assert resumed[1:] == straight[1 + step:], step
 
     def test_resume_with_other_model_config_exits_4(self, generated, capsys):
         config, cfg, tmp_path = generated
