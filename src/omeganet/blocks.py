@@ -12,7 +12,7 @@ independently per batch item (realized as batched matrix products).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -36,26 +36,40 @@ from .tensor import (
 class ConvParams:
     """One convolution layer: weight, bias, and its geometry.
 
-    For a regular conv the weight is (out_c, in_c, kh, kw); for a transposed
-    conv it is (in_c, out_c, k, k) and k is the up-sampling factor.
+    For a regular conv the weight is (out_c, in_c, k, k) with k odd, and the
+    conv keeps its input's extent; for a transposed conv it is
+    (in_c, out_c, k, k) and k is the up-sampling factor.
     """
 
     weight: Tensor
     bias: Tensor
-    padding: int = 0
     dilation: int = 1
     transposed: bool = False
 
-    @property
-    def in_channels(self):
-        return self.weight.shape[0] if self.transposed else self.weight.shape[1]
 
-    def named_parameters(self, prefix):
-        yield f"{prefix}.weight", self.weight
-        yield f"{prefix}.bias", self.bias
+def named_parameters(tree, prefix=""):
+    """Yield (dotted name, Tensor) for every Tensor in ``tree``, depth first.
+
+    Dataclass fields and dict keys extend the name in their order; list items
+    are numbered from 1.  Any other leaf (a dilation, a K, a disabled stage's
+    None) holds no parameter.
+    """
+    if isinstance(tree, Tensor):
+        yield prefix, tree
+        return
+    if is_dataclass(tree):
+        children = [(f.name, getattr(tree, f.name)) for f in fields(tree)]
+    elif isinstance(tree, dict):
+        children = tree.items()
+    elif isinstance(tree, list):
+        children = enumerate(tree, start=1)
+    else:
+        return
+    for key, child in children:
+        yield from named_parameters(child, f"{prefix}.{key}" if prefix else str(key))
 
 
-def kaiming_conv(rng, in_channels, out_channels, kernel, *, padding=0, dilation=1,
+def kaiming_conv(rng, in_channels, out_channels, kernel, *, dilation=1,
                  transposed=False, dtype=np.float32) -> ConvParams:
     """Kaiming-uniform fan-in weights (bound sqrt(6/fan_in)), zero bias."""
     fan_in = in_channels * kernel * kernel
@@ -67,14 +81,13 @@ def kaiming_conv(rng, in_channels, out_channels, kernel, *, padding=0, dilation=
     weight = Tensor(rng.uniform(-bound, bound, size=shape).astype(dtype),
                     requires_grad=True)
     bias = Tensor(np.zeros(out_channels, dtype=dtype), requires_grad=True)
-    return ConvParams(weight, bias, padding=padding, dilation=dilation,
-                      transposed=transposed)
+    return ConvParams(weight, bias, dilation=dilation, transposed=transposed)
 
 
 def apply_conv(x: Tensor, p: ConvParams) -> Tensor:
     if p.transposed:
         return transposed_conv2d(x, p.weight, p.bias)
-    return conv2d(x, p.weight, p.bias, padding=p.padding, dilation=p.dilation)
+    return conv2d(x, p.weight, p.bias, p.dilation)
 
 
 # ---------------------------------------------------------------------------
@@ -83,21 +96,16 @@ def apply_conv(x: Tensor, p: ConvParams) -> Tensor:
 
 @dataclass
 class ConvBlockParams:
-    """Two consecutive 3x3 convolutions (pad 1), each followed by relu."""
+    """Two consecutive 3x3 convolutions, each followed by relu."""
 
     conv1: ConvParams
     conv2: ConvParams
 
-    def named_parameters(self, prefix):
-        yield from self.conv1.named_parameters(f"{prefix}.conv1")
-        yield from self.conv2.named_parameters(f"{prefix}.conv2")
 
-
-def init_conv_block(rng, in_channels, mid_channels, out_channels,
-                    dtype=np.float32) -> ConvBlockParams:
+def init_conv_block(rng, in_channels, out_channels, dtype=np.float32) -> ConvBlockParams:
     return ConvBlockParams(
-        kaiming_conv(rng, in_channels, mid_channels, 3, padding=1, dtype=dtype),
-        kaiming_conv(rng, mid_channels, out_channels, 3, padding=1, dtype=dtype),
+        kaiming_conv(rng, in_channels, out_channels, 3, dtype=dtype),
+        kaiming_conv(rng, out_channels, out_channels, 3, dtype=dtype),
     )
 
 
@@ -115,24 +123,14 @@ class MscParams:
 
     conv5: ConvParams
     conv3: ConvParams
-    conv1a: ConvParams
+    conv1: ConvParams
     fuse: ConvParams
-
-    @property
-    def channels(self):
-        return self.conv5.in_channels
-
-    def named_parameters(self, prefix):
-        yield from self.conv5.named_parameters(f"{prefix}.conv5")
-        yield from self.conv3.named_parameters(f"{prefix}.conv3")
-        yield from self.conv1a.named_parameters(f"{prefix}.conv1")
-        yield from self.fuse.named_parameters(f"{prefix}.fuse")
 
 
 def init_msc(rng, channels, dtype=np.float32) -> MscParams:
     return MscParams(
-        kaiming_conv(rng, channels, channels, 5, padding=2, dtype=dtype),
-        kaiming_conv(rng, channels, channels, 3, padding=1, dtype=dtype),
+        kaiming_conv(rng, channels, channels, 5, dtype=dtype),
+        kaiming_conv(rng, channels, channels, 3, dtype=dtype),
         kaiming_conv(rng, channels, channels, 1, dtype=dtype),
         kaiming_conv(rng, 4 * channels, channels, 1, dtype=dtype),
     )
@@ -141,13 +139,9 @@ def init_msc(rng, channels, dtype=np.float32) -> MscParams:
 def cascade_msc(x: Tensor, p: MscParams) -> Tensor:
     """x1 = relu(conv5(x)); x2 = relu(conv3(x + x1)); x3 = relu(conv1(x + x2));
     output = fuse(concat(x, x1, x2, x3)), same shape as x."""
-    if x.shape[1] != p.channels:
-        raise ShapeError(
-            f"cascade_msc expects {p.channels} channels, got {x.shape[1]}"
-        )
     x1 = relu(apply_conv(x, p.conv5))
     x2 = relu(apply_conv(add(x, x1), p.conv3))
-    x3 = relu(apply_conv(add(x, x2), p.conv1a))
+    x3 = relu(apply_conv(add(x, x2), p.conv1))
     return apply_conv(concat_channels([x, x1, x2, x3]), p.fuse)
 
 
@@ -157,23 +151,16 @@ def cascade_msc(x: Tensor, p: MscParams) -> Tensor:
 
 @dataclass
 class DspaParams:
-    """Dense spatial-position attention: a dilated 3x3 conv (dilation 2, pad 2)
-    feeds contiguous-bin average pooling that yields K summary features."""
+    """Dense spatial-position attention: a dilated 3x3 conv (dilation 2) feeds
+    contiguous-bin average pooling that yields K summary features."""
 
     dilated: ConvParams
     k: int = 10
 
-    @property
-    def channels(self):
-        return self.dilated.in_channels
-
-    def named_parameters(self, prefix):
-        yield from self.dilated.named_parameters(f"{prefix}.dilated")
-
 
 def init_dspa(rng, channels, k=10, dtype=np.float32) -> DspaParams:
     return DspaParams(
-        kaiming_conv(rng, channels, channels, 3, padding=2, dilation=2, dtype=dtype),
+        kaiming_conv(rng, channels, channels, 3, dilation=2, dtype=dtype),
         k=k,
     )
 

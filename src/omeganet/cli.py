@@ -170,7 +170,8 @@ def cmd_train(args) -> int:
         print(f"training diverged: {e}", file=sys.stderr)
         return EXIT_DIVERGENCE
 
-    save_checkpoint(net, checkpoint_path, extra=adam_state_arrays(adam))
+    if not history:  # train() saves at its last step, so only when no step ran
+        save_checkpoint(net, checkpoint_path, extra=adam_state_arrays(adam))
     write_history_csv(cfg.paths["metrics_csv"], history, net.config.out_channels)
     print(f"trained {len(history)} steps; checkpoint {checkpoint_path}")
     try:
@@ -218,15 +219,7 @@ def _load_image(path) -> np.ndarray:
 def cmd_predict(args) -> int:
     net, _ = build_from_checkpoint(args.checkpoint)
     image = _load_image(args.image)
-    if image.ndim != 3 or image.shape[0] != 1:
-        raise ShapeError(f"expected a (1, H, W) image, got shape {image.shape}")
-    size = net.config.input_size
-    if image.shape[1] != size or image.shape[2] != size:
-        raise ShapeError(
-            f"image is {image.shape[1]}x{image.shape[2]} but the checkpointed"
-            f" model expects {size}x{size}"
-        )
-    with no_grad():
+    with no_grad():  # the net rejects any image but a (1, H, W) one of its size
         out = net.forward(Tensor(image[None].astype(np.float32)))
         prob = sigmoid(out.main_logits).data[0]
     out_dir = Path(args.out)

@@ -143,11 +143,8 @@ class OmegaNet:
         enc_ch = config.encoder_channels
         dec_ch = config.decoder_channels
 
-        self.encoder = []
-        prev = 1
-        for ch in enc_ch:
-            self.encoder.append(init_conv_block(rng, prev, ch, ch, dtype))
-            prev = ch
+        self.encoder = [init_conv_block(rng, c_in, c, dtype)
+                        for c_in, c in zip([1] + enc_ch, enc_ch)]
 
         # decoder stage j (1-based) works at skip E_{d-j} with C = dec_ch[j] channels
         self.skip_msc = [init_msc(rng, dec_ch[j], dtype) for j in range(1, d)]
@@ -165,11 +162,11 @@ class OmegaNet:
             self.aux_up.append(
                 kaiming_conv(rng, dec_ch[j - 1], c, 2, transposed=True, dtype=dtype)
             )
-            self.aux_block.append(init_conv_block(rng, 2 * c, c, c, dtype))
+            self.aux_block.append(init_conv_block(rng, 2 * c, c, dtype))
             self.main_up.append(
                 kaiming_conv(rng, dec_ch[j - 1], c, 2, transposed=True, dtype=dtype)
             )
-            self.main_block.append(init_conv_block(rng, 3 * c, c, c, dtype))
+            self.main_block.append(init_conv_block(rng, 3 * c, c, dtype))
 
         self.head_aux = kaiming_conv(rng, dec_ch[d - 1], config.out_channels, 1, dtype=dtype)
         self.head_main = kaiming_conv(rng, dec_ch[d - 1], config.out_channels, 1, dtype=dtype)
@@ -177,23 +174,14 @@ class OmegaNet:
     # -- parameters ---------------------------------------------------------
 
     def named_parameters(self):
-        out = []
-        for i, block in enumerate(self.encoder, start=1):
-            out.extend(block.named_parameters(f"enc.{i}"))
-        for j, msc in enumerate(self.skip_msc, start=1):
-            out.extend(msc.named_parameters(f"msc.{j}"))
-        if self.skip_dspa is not None:
-            for j, dp in enumerate(self.skip_dspa, start=1):
-                out.extend(dp.named_parameters(f"dspa.{j}"))
-        for j in range(1, self.config.depth):
-            out.extend(self.aux_up[j - 1].named_parameters(f"aux.{j}.up"))
-            out.extend(self.aux_block[j - 1].named_parameters(f"aux.{j}.block"))
-        for j in range(1, self.config.depth):
-            out.extend(self.main_up[j - 1].named_parameters(f"main.{j}.up"))
-            out.extend(self.main_block[j - 1].named_parameters(f"main.{j}.block"))
-        out.extend(self.head_aux.named_parameters("head.aux"))
-        out.extend(self.head_main.named_parameters("head.main"))
-        return out
+        return list(blocks.named_parameters({
+            "enc": self.encoder,
+            "msc": self.skip_msc,
+            "dspa": self.skip_dspa,
+            "aux": [{"up": u, "block": b} for u, b in zip(self.aux_up, self.aux_block)],
+            "main": [{"up": u, "block": b} for u, b in zip(self.main_up, self.main_block)],
+            "head": {"aux": self.head_aux, "main": self.head_main},
+        }))
 
     def num_parameters(self):
         return sum(p.size for _, p in self.named_parameters())
@@ -344,6 +332,17 @@ def load_checkpoint(path):
     return config, entries
 
 
+def all_finite(arr: np.ndarray) -> bool:
+    """Whether ``arr`` holds no NaN and no infinity, in one pass with no temporary.
+
+    A NaN, an infinity or an overflow leaves the sum of squares non-finite;
+    min and max, which propagate NaN, tell an overflow apart.
+    """
+    with np.errstate(over="ignore"):
+        return bool(np.isfinite(np.vdot(arr, arr))
+                    or (np.isfinite(arr.min()) and np.isfinite(arr.max())))
+
+
 def restore_parameters(net: OmegaNet, entries: dict) -> dict:
     """Load parameter tensors into the net, validating names, shapes and values.
 
@@ -351,13 +350,9 @@ def restore_parameters(net: OmegaNet, entries: dict) -> dict:
     unknown tensor, and a NaN or an infinity in any tensor, is an error.
     Parameter arrays of the net's dtype are taken over, not copied.
     """
-    with np.errstate(over="ignore"):
-        for name, arr in entries.items():
-            # one pass: a NaN, an infinity or an overflow leaves the sum of squares
-            # non-finite; min and max, which propagate NaN, tell an overflow apart
-            if not (np.isfinite(np.vdot(arr, arr))
-                    or (np.isfinite(arr.min()) and np.isfinite(arr.max()))):
-                raise CheckpointError(f"checkpoint tensor {name!r} holds a non-finite value")
+    for name, arr in entries.items():
+        if not all_finite(arr):
+            raise CheckpointError(f"checkpoint tensor {name!r} holds a non-finite value")
     remaining = dict(entries)
     for name, p in net.named_parameters():
         if name not in remaining:

@@ -12,10 +12,11 @@ Ops preserve the dtype of their inputs.  Networks run in float32; the
 gradient-check suites build float64 tensors and exercise the identical code
 paths.  Convolutions go through im2col + GEMM; the naive loop versions live
 in :mod:`omeganet.reference` and are used only as test oracles.  A conv has
-stride 1 (any kernel, padding and dilation); its windows are one strided
-view of the padded input: im2col copies it, col2im scatter-adds into it, and
-the backward gathers the columns again from the input instead of keeping
-them.  A transposed conv up-samples by its square kernel's size k with
+stride 1 and an odd square kernel, any dilation, and "same" zero padding
+derived from the kernel, so it keeps its input's extent; its windows are one
+strided view of the padded input: im2col copies it, col2im scatter-adds into
+it, and the backward gathers the columns again from the input instead of
+keeping them.  A transposed conv up-samples by its square kernel's size k with
 stride k; its windows never overlap, so it is a GEMM plus a pixel shuffle.
 """
 from __future__ import annotations
@@ -213,48 +214,46 @@ def _col2im(cols: np.ndarray, shape, kh: int, kw: int, dilation: int) -> np.ndar
 # Convolution family
 # ---------------------------------------------------------------------------
 
-def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int = 0,
-           dilation: int = 1) -> Tensor:
-    """2-d stride-1 cross-correlation with zero padding.
+def conv2d(x: Tensor, weight: Tensor, bias: Tensor, dilation: int = 1) -> Tensor:
+    """2-d stride-1 cross-correlation with "same" zero padding.
 
+    The kernel is odd and square, k x k, and the input is padded by
+    r = dilation*(k-1)/2 on every side, so the output keeps the input's extent:
     out[n,o,y,x] = bias[o] + sum_{c,i,j} weight[o,c,i,j] *
-                   x[n, c, y - padding + i*dilation, x - padding + j*dilation]
+                   x[n, c, y - r + i*dilation, x - r + j*dilation]
     """
     if x.ndim != 4:
         raise ShapeError(f"conv2d expects rank-4 input, got shape {x.shape}")
     if weight.ndim != 4:
         raise ShapeError(f"conv2d expects rank-4 weight, got shape {weight.shape}")
     n, c_in, h, w = x.shape
-    c_out, c_w, kh, kw = weight.shape
+    c_out, c_w, k, kw = weight.shape
+    if k != kw or k % 2 == 0:
+        raise ShapeError(f"conv2d needs an odd square kernel, got {k}x{kw}")
     if c_in != c_w:
         raise ShapeError(
             f"conv2d channel mismatch: input has {c_in} channels, weight expects {c_w}"
         )
     if bias.shape != (c_out,):
         raise ShapeError(f"conv2d bias must have shape ({c_out},), got {bias.shape}")
-    if padding < 0 or dilation < 1:
-        raise ValueError("conv2d requires padding >= 0, dilation >= 1")
-    out_h = h + 2 * padding - dilation * (kh - 1)
-    out_w = w + 2 * padding - dilation * (kw - 1)
-    if out_h < 1 or out_w < 1:
-        raise ShapeError(
-            f"conv2d output spatial extent would be {out_h}x{out_w} for input {h}x{w}"
-        )
+    if dilation < 1:
+        raise ValueError("conv2d requires dilation >= 1")
+    r = dilation * (k - 1) // 2
 
     def columns():
         xp = x.data
-        if padding:
-            xp = np.pad(xp, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-        return _im2col(xp, kh, kw, dilation)
+        if r:
+            xp = np.pad(xp, ((0, 0), (0, 0), (r, r), (r, r)))
+        return _im2col(xp, k, k, dilation)
 
     # the columns are dropped after the GEMM; backward gathers them again
     w2 = weight.data.reshape(c_out, -1)
     out = np.matmul(w2, columns())
     out += bias.data.reshape(1, c_out, 1)
-    out = out.reshape(n, c_out, out_h, out_w)
+    out = out.reshape(n, c_out, h, w)
 
     def backward(g):
-        g2 = g.reshape(n, c_out, out_h * out_w)
+        g2 = g.reshape(n, c_out, h * w)
         if bias.requires_grad:
             _accumulate(bias, g2.sum(axis=(0, 2)))
         if weight.requires_grad:
@@ -262,10 +261,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: int = 0,
             _accumulate(weight, dw.reshape(weight.shape))
         if x.requires_grad:
             dcols = np.matmul(w2.T, g2)
-            dxp = _col2im(dcols, (n, c_in, h + 2 * padding, w + 2 * padding),
-                          kh, kw, dilation)
-            if padding:
-                dxp = dxp[:, :, padding:-padding, padding:-padding]
+            dxp = _col2im(dcols, (n, c_in, h + 2 * r, w + 2 * r), k, k, dilation)
+            if r:
+                dxp = dxp[:, :, r:-r, r:-r]
             _accumulate(x, dxp)
 
     return _node(out, (x, weight, bias), backward)

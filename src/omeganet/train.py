@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import stack_samples
-from .net import OmegaNet, save_checkpoint
+from .net import OmegaNet, all_finite, save_checkpoint
 from .tensor import no_grad, scale, sigmoid
 
 
@@ -62,7 +62,6 @@ def adam_step(params, grads, state: AdamState) -> None:
     A non-finite or misshapen gradient rejects the whole step before any
     parameter is touched.
     """
-    finite = np.empty(ADAM_CHUNK, dtype=bool)
     for name, p in params:
         g = grads.get(name)
         if g is None:
@@ -71,11 +70,8 @@ def adam_step(params, grads, state: AdamState) -> None:
             raise ValueError(
                 f"gradient shape {g.shape} does not match parameter {name!r} {p.data.shape}"
             )
-        flat = g.reshape(-1)
-        for lo in range(0, flat.size, ADAM_CHUNK):
-            part = flat[lo:lo + ADAM_CHUNK]
-            if not np.isfinite(part, out=finite[:part.size]).all():
-                raise DivergenceError(f"non-finite gradient for parameter {name!r}")
+        if not all_finite(g):
+            raise DivergenceError(f"non-finite gradient for parameter {name!r}")
     state.t += 1
     bc1 = 1.0 - BETA1 ** state.t
     bc2 = 1.0 - BETA2 ** state.t
@@ -381,9 +377,8 @@ def write_history_csv(path, history, n_channels: int) -> None:
             writer.writerow(row)
 
 
-def write_metrics_csv(path, report: MetricsReport, channel_names=None) -> None:
+def write_metrics_csv(path, report: MetricsReport, names) -> None:
     """One row per channel plus a macro row: dsc, ppv, sensitivity, counts."""
-    names = channel_names or [f"channel_{i}" for i in range(len(report.channels))]
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["channel", "dsc", "ppv", "sensitivity", "tp", "fp", "fn", "tn"])
@@ -394,9 +389,8 @@ def write_metrics_csv(path, report: MetricsReport, channel_names=None) -> None:
                          f"{report.macro_sensitivity:.6f}", "", "", "", ""])
 
 
-def format_metrics(report: MetricsReport, channel_names=None) -> str:
+def format_metrics(report: MetricsReport, names) -> str:
     """Fixed-width table with the DSC / PPV / Sensi column layout."""
-    names = channel_names or [f"channel_{i}" for i in range(len(report.channels))]
     lines = [f"{'':<10}{'DSC':>8}{'PPV':>8}{'Sensi':>8}"]
     for name, c in zip(names, report.channels):
         lines.append(f"{name:<10}{c.dsc:>8.4f}{c.ppv:>8.4f}{c.sensitivity:>8.4f}")

@@ -16,24 +16,32 @@ def rng():
 
 
 def zero_params(params):
-    for _, p in params.named_parameters("z"):
+    for _, p in blocks.named_parameters(params):
         p.data = np.zeros_like(p.data)
+
+
+class TestNamedParameters:
+    def test_walk_names_fields_keys_and_list_items_in_order(self):
+        a, b, c = (Tensor(np.zeros(1)) for _ in range(3))
+        tree = {"x": [None, blocks.ConvParams(a, b, dilation=2)], "y": {"z": c}, "k": 10}
+        assert [(n, id(t)) for n, t in blocks.named_parameters(tree, "net")] == [
+            ("net.x.2.weight", id(a)), ("net.x.2.bias", id(b)), ("net.y.z", id(c))]
 
 
 class TestConvBlock:
     def test_zero_weights_zero_output(self, rng):
-        p = blocks.init_conv_block(rng, 2, 3, 3, dtype=np.float64)
+        p = blocks.init_conv_block(rng, 2, 3, dtype=np.float64)
         zero_params(p)
         out = blocks.conv_block(t64(rng.normal(size=(1, 2, 5, 5))), p)
         assert not out.data.any()
 
     def test_output_shape(self, rng):
-        p = blocks.init_conv_block(rng, 1, 4, 4, dtype=np.float64)
+        p = blocks.init_conv_block(rng, 1, 4, dtype=np.float64)
         out = blocks.conv_block(t64(rng.normal(size=(1, 1, 8, 8))), p)
         assert out.shape == (1, 4, 8, 8)
 
     def test_matches_composed_oracle(self, rng):
-        p = blocks.init_conv_block(rng, 2, 3, 4, dtype=np.float64)
+        p = blocks.init_conv_block(rng, 2, 4, dtype=np.float64)
         x = rng.normal(size=(1, 2, 5, 5))
         h = np.maximum(reference.conv2d_naive(
             x, p.conv1.weight.data, p.conv1.bias.data, 1, 1, 1), 0)
@@ -43,7 +51,7 @@ class TestConvBlock:
         assert reference.relative_error(got, ref) < 1e-10
 
     def test_channel_mismatch_rejected(self, rng):
-        p = blocks.init_conv_block(rng, 2, 3, 3, dtype=np.float64)
+        p = blocks.init_conv_block(rng, 2, 3, dtype=np.float64)
         with pytest.raises(ShapeError):
             blocks.conv_block(t64(rng.normal(size=(1, 5, 4, 4))), p)
 
@@ -82,7 +90,7 @@ class TestCascadeMsc:
         x2 = np.maximum(reference.conv2d_naive(
             x + x1, p.conv3.weight.data, p.conv3.bias.data, 1, 1, 1), 0)
         x3 = np.maximum(reference.conv2d_naive(
-            x + x2, p.conv1a.weight.data, p.conv1a.bias.data, 1, 0, 1), 0)
+            x + x2, p.conv1.weight.data, p.conv1.bias.data, 1, 0, 1), 0)
         cat = np.concatenate([x, x1, x2, x3], axis=1)
         ref = reference.conv2d_naive(cat, p.fuse.weight.data, p.fuse.bias.data, 1, 0, 1)
         got = blocks.cascade_msc(t64(x), p).data
@@ -201,7 +209,7 @@ class TestBlockProperties:
         n, c, h, w = shape
         x = t64(rng.normal(size=shape) * 0.3)
         cases = [
-            blocks.conv_block(x, blocks.init_conv_block(rng, c, c, c, dtype=np.float64)),
+            blocks.conv_block(x, blocks.init_conv_block(rng, c, c, dtype=np.float64)),
             blocks.cascade_msc(x, blocks.init_msc(rng, c, dtype=np.float64)),
             blocks.dspa(x, blocks.init_dspa(rng, c, k=3, dtype=np.float64)),
             blocks.channel_attention(x),
@@ -232,7 +240,6 @@ class TestBlockProperties:
 
         # the three-block composition needs a finer step than the per-block
         # checks to keep the difference quotient away from relu kinks
-        params = ([("x", x)] + list(pd.named_parameters("dspa"))
-                  + list(pm.named_parameters("msc")))
+        params = [("x", x)] + list(blocks.named_parameters({"dspa": pd, "msc": pm}))
         errs = reference.check_gradients(loss_fn, params, h=1e-5)
         assert max(errs.values()) < 1e-4

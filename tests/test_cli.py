@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from omeganet import cli as cli_module
 from omeganet import train as train_module
 from omeganet.cli import load_run_config, main
 from omeganet.data import generate, read_otf, read_pgm, write_otf, SyntheticSpec
@@ -122,6 +123,21 @@ class TestTrain:
         assert "config.json" in entries and "enc.1.conv1.weight" in entries
         csv_lines = (tmp_path / "metrics.csv").read_text().strip().splitlines()
         assert len(csv_lines) == 1  # header only
+
+    def test_each_checkpoint_written_once(self, generated, monkeypatch):
+        # 4 steps with an eval every 2: train() saves at steps 2 and 4, and the
+        # command does not write the step-4 checkpoint again
+        config, cfg, tmp_path = generated
+        save, steps = train_module.save_checkpoint, []
+
+        def counting_save(net, path, extra=None):
+            steps.append(int(extra["adam.t"][0]))
+            save(net, path, extra=extra)
+
+        monkeypatch.setattr(train_module, "save_checkpoint", counting_save)
+        monkeypatch.setattr(cli_module, "save_checkpoint", counting_save)
+        assert main(["train", "--config", str(config)]) == 0
+        assert steps == [2, 4]
 
     def test_train_writes_checkpoint_and_history(self, generated, capsys):
         config, cfg, tmp_path = generated
@@ -332,12 +348,15 @@ class TestPredict:
                      "--out", str(tmp_path / "p")]) == 4
         assert "truncated" in capsys.readouterr().err
 
-    def test_wrong_size_exits_4(self, trained, tmp_path):
+    @pytest.mark.parametrize("shape", [(1, 32, 32), (2, 16, 16), (16, 16)],
+                             ids=["32x32", "2-channels", "rank-2"])
+    def test_wrong_size_exits_4(self, trained, capsys, shape):
         config, cfg, tmp_path = trained
-        bad = tmp_path / "big.otf"
-        write_otf(bad, {"image": np.zeros((1, 32, 32), dtype=np.float32)})
+        bad = tmp_path / "bad.otf"
+        write_otf(bad, {"image": np.zeros(shape, dtype=np.float32)})
         assert main(["predict", "--checkpoint", cfg["paths"]["checkpoint"],
                      "--image", str(bad), "--out", str(tmp_path / "p")]) == 4
+        assert "expected" in capsys.readouterr().err
 
 
 def test_corrupt_checkpoint_exits_0_or_4(generated, capsys):

@@ -1,4 +1,5 @@
 """Network assembly: shape pipeline, losses, dual-supervision wiring, checkpoints."""
+import hashlib
 import json
 
 import numpy as np
@@ -112,6 +113,35 @@ class TestEncode:
             net.encode(Tensor(rng.normal(size=(1, 1, 8, 8)).astype(np.float32)))
 
 
+class TestParameterList:
+    """The checkpoint format: every parameter's name and shape, in order.
+
+    Each digest is of the "name shape" lines joined by newlines, recorded
+    from the per-block naming code that the one parameter walk replaced.
+    """
+
+    @staticmethod
+    def digest(net):
+        lines = "\n".join(f"{n} {tuple(p.shape)}" for n, p in net.named_parameters())
+        return hashlib.sha256(lines.encode()).hexdigest()
+
+    def test_paper_config(self):
+        net = OmegaNet(ModelConfig(), seed=0)
+        assert (len(net.named_parameters()), net.num_parameters()) == (112, 72470468)
+        assert self.digest(net) == (
+            "a57c5d1863424d25954f99419790e551b0f49e5003dc8bbb4de7e6c7e424da7f")
+
+    def test_toy_config_without_mdsa(self):
+        net = OmegaNet(toy_config(mdsa_enabled=False), seed=0)
+        names = [n for n, _ in net.named_parameters()]
+        assert (len(names), net.num_parameters()) == (56, 14136)
+        assert names[12:14] == ["msc.1.conv5.weight", "msc.1.conv5.bias"]
+        assert names[28:30] == ["aux.1.up.weight", "aux.1.up.bias"]
+        assert names[-2:] == ["head.main.weight", "head.main.bias"]
+        assert self.digest(net) == (
+            "eb0ce3b985154c56555870eeecf44617553399f67a656d36e3bf87ff486cb737")
+
+
 class TestDecoders:
     def test_additional_path_shapes(self, rng):
         net = OmegaNet(toy_config(), seed=0)
@@ -125,7 +155,7 @@ class TestDecoders:
         net = OmegaNet(toy_config(), seed=0)
         dec = net.config.decoder_channels
         for j, dp in enumerate(net.skip_dspa, start=1):
-            assert dp.channels == 2 * dec[j]
+            assert dp.dilated.weight.shape[:2] == (2 * dec[j], 2 * dec[j])
 
     def test_gradient_reaches_every_encoder_parameter(self, rng):
         net = OmegaNet(toy_config(), seed=0, dtype=np.float64)

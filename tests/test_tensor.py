@@ -50,7 +50,7 @@ def rng():
 class TestConv2d:
     def test_ones_kernel_pad1(self):
         out = conv2d(t64(np.ones((1, 1, 3, 3))), t64(np.ones((1, 1, 3, 3))),
-                     t64(np.zeros(1)), padding=1)
+                     t64(np.zeros(1)))
         assert out.data[0, 0, 1, 1] == 9.0
         assert out.data[0, 0, 0, 0] == 4.0
         assert out.data[0, 0, 0, 2] == 4.0
@@ -64,22 +64,20 @@ class TestConv2d:
     def test_dilated_shape(self, rng):
         x = t64(rng.normal(size=(1, 3, 8, 8)))
         w = t64(rng.normal(size=(2, 3, 3, 3)))
-        out = conv2d(x, w, t64(np.zeros(2)), padding=2, dilation=2)
+        out = conv2d(x, w, t64(np.zeros(2)), dilation=2)
         assert out.shape == (1, 2, 8, 8)
 
     @pytest.mark.parametrize("case", range(12))
     def test_matches_loop_oracle(self, case):
         rng = np.random.default_rng(100 + case)
         n, ci, co = rng.integers(1, 3), rng.integers(1, 5), rng.integers(1, 5)
-        k = int(rng.choice([1, 3]))
-        p, d = int(rng.integers(0, 3)), int(rng.integers(1, 3))
-        h = int(rng.integers(max(1, d * (k - 1) + 1 - 2 * p), 10))
-        w = int(rng.integers(max(1, d * (k - 1) + 1 - 2 * p), 10))
-        x = rng.normal(size=(n, ci, h, w))
+        k, d = int(rng.choice([1, 3, 5])), int(rng.integers(1, 3))
+        x = rng.normal(size=(n, ci, int(rng.integers(1, 10)), int(rng.integers(1, 10))))
         wt = rng.normal(size=(co, ci, k, k))
         b = rng.normal(size=(co,))
-        got = conv2d(t64(x), t64(wt), t64(b), p, d).data
-        ref = reference.conv2d_naive(x, wt, b, 1, p, d)
+        got = conv2d(t64(x), t64(wt), t64(b), d).data
+        ref = reference.conv2d_naive(x, wt, b, 1, d * (k - 1) // 2, d)
+        assert got.shape == ref.shape == (n, co) + x.shape[2:]
         assert reference.relative_error(got, ref) < 1e-10
 
     def test_channel_mismatch_names_dimension(self, rng):
@@ -88,10 +86,12 @@ class TestConv2d:
         with pytest.raises(ShapeError, match="3 channels.*expects 4"):
             conv2d(x, w, t64(np.zeros(2)))
 
-    def test_output_too_small_rejected(self, rng):
-        x = t64(rng.normal(size=(1, 1, 2, 2)))
-        w = t64(rng.normal(size=(1, 1, 3, 3)))
-        with pytest.raises(ShapeError):
+    @pytest.mark.parametrize("kh,kw", [(2, 2), (4, 4), (3, 1), (1, 3)],
+                             ids=["2x2", "4x4", "3x1", "1x3"])
+    def test_even_or_non_square_kernel_rejected(self, rng, kh, kw):
+        x = t64(rng.normal(size=(1, 1, 6, 6)))
+        w = t64(rng.normal(size=(1, 1, kh, kw)))
+        with pytest.raises(ShapeError, match=f"odd square kernel, got {kh}x{kw}"):
             conv2d(x, w, t64(np.zeros(1)))
 
 
@@ -430,8 +430,8 @@ class TestBackward:
         mask = t64((rng.uniform(size=(1, 2, 6, 6)) > 0.5).astype(np.float64))
 
         def loss_fn():
-            h = relu(conv2d(x, w1, b1, padding=1))
-            return bce_with_logits(conv2d(h, w2, b2, padding=1), mask)
+            h = relu(conv2d(x, w1, b1))
+            return bce_with_logits(conv2d(h, w2, b2), mask)
 
         errs = reference.check_gradients(
             loss_fn, [("w1", w1), ("b1", b1), ("w2", w2), ("b2", b2)], h=1e-3)
@@ -516,7 +516,7 @@ class TestTapeRelease:
     def test_intermediate_freed_by_backward(self, rng):
         x = t64(rng.normal(size=(1, 2, 5, 5)), requires_grad=True)
         w = t64(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
-        hidden = relu(conv2d(x, w, t64(np.zeros(3)), padding=1))
+        hidden = relu(conv2d(x, w, t64(np.zeros(3))))
         ref = weakref.ref(hidden)
         loss = sum_all(scale(hidden, 2.0))
         del hidden
@@ -541,12 +541,15 @@ class TestTapeRelease:
 
     @pytest.mark.parametrize("k,dilation,padding", [(3, 1, 1), (1, 1, 0), (3, 2, 2)])
     def test_conv_closure_keeps_no_columns(self, rng, k, dilation, padding):
+        # padding is the derived dilation*(k-1)/2: neither the columns nor the
+        # padded input they are gathered from outlive the forward
         x = t64(rng.normal(size=(2, 3, 8, 8)), requires_grad=True)
         w = t64(rng.normal(size=(4, 3, k, k)), requires_grad=True)
-        out = conv2d(x, w, t64(np.zeros(4)), padding=padding, dilation=dilation)
+        out = conv2d(x, w, t64(np.zeros(4)), dilation=dilation)
         cols_shape = (2, 3 * k * k, out.shape[2] * out.shape[3])
+        padded_shape = (2, 3, 8 + 2 * padding, 8 + 2 * padding)
         shapes = [a.shape for a in closure_arrays(out._backward_fn)]
-        assert shapes and cols_shape not in shapes
+        assert shapes and cols_shape not in shapes and padded_shape not in shapes
 
 
 class TestNumericHygiene:
@@ -555,7 +558,7 @@ class TestNumericHygiene:
         w32 = Tensor(rng.normal(size=(3, 2, 3, 3)).astype(np.float32))
         b32 = Tensor(np.zeros(3, dtype=np.float32))
         checks = [
-            conv2d(x32, w32, b32, padding=1),
+            conv2d(x32, w32, b32),
             maxpool2d(x32),
             adaptive_avg_pool_to_k(x32, 3),
             softmax_rows(reshape(x32, (2, 16))),
@@ -571,7 +574,7 @@ class TestNumericHygiene:
         x = Tensor(rng.normal(size=(2, 3, 8, 8)).astype(np.float32) * 50)
         w = Tensor(rng.normal(size=(4, 3, 3, 3)).astype(np.float32))
         outputs = [
-            conv2d(x, w, Tensor(np.zeros(4, dtype=np.float32)), padding=1),
+            conv2d(x, w, Tensor(np.zeros(4, dtype=np.float32))),
             softmax_rows(reshape(x, (6, 64))),
             sigmoid(scale(x, 100.0)),
             maxpool2d(x),

@@ -75,6 +75,17 @@ class TestAdam:
         assert state.t == 0
         np.testing.assert_array_equal(p.data, np.ones(2))
 
+    def test_huge_finite_gradient_passes_and_infinity_rejects(self):
+        # the sum of squares of 3e38 overflows, so the finite check must look again
+        p = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
+        state = AdamState(weight_decay=0.0)
+        with np.errstate(over="ignore"):  # the second moment overflows too
+            adam_step([("p", p)], {"p": np.array([3e38, -3e38], dtype=np.float32)}, state)
+        assert state.t == 1 and np.isfinite(p.data).all()
+        with pytest.raises(DivergenceError, match="'p'"):
+            adam_step([("p", p)], {"p": np.array([np.inf, 0.0], dtype=np.float32)}, state)
+        assert state.t == 1
+
     def test_weight_decay_contributes(self):
         p = Tensor(np.array([2.0], dtype=np.float32), requires_grad=True)
         state = AdamState(lr=0.001, weight_decay=0.5)
