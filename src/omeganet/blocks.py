@@ -69,19 +69,38 @@ def named_parameters(tree, prefix=""):
         yield from named_parameters(child, f"{prefix}.{key}" if prefix else str(key))
 
 
+# Kaiming init draws weights through a float64 scratch buffer of this many
+# elements (256 KiB), so no whole-weight float64 temporary is made.
+KAIMING_CHUNK = 32768
+
+
 def kaiming_conv(rng, in_channels, out_channels, kernel, *, dilation=1,
                  transposed=False, dtype=np.float32) -> ConvParams:
-    """Kaiming-uniform fan-in weights (bound sqrt(6/fan_in)), zero bias."""
+    """Kaiming-uniform fan-in weights (bound sqrt(6/fan_in)), zero bias.
+
+    The weight is filled ``KAIMING_CHUNK`` elements at a time with the
+    arithmetic of ``Generator.uniform`` (low + range * next_double), so it
+    holds the bits of ``reference.kaiming_conv_naive`` and leaves ``rng`` in
+    the same state.
+    """
     fan_in = in_channels * kernel * kernel
     bound = np.sqrt(6.0 / fan_in)
     if transposed:
         shape = (in_channels, out_channels, kernel, kernel)
     else:
         shape = (out_channels, in_channels, kernel, kernel)
-    weight = Tensor(rng.uniform(-bound, bound, size=shape).astype(dtype),
-                    requires_grad=True)
+    weight = np.empty(shape, dtype=dtype)
+    flat = weight.reshape(-1)
+    scratch = np.empty(min(KAIMING_CHUNK, flat.size))
+    for lo in range(0, flat.size, KAIMING_CHUNK):
+        chunk = scratch[:min(KAIMING_CHUNK, flat.size - lo)]
+        rng.random(out=chunk)
+        chunk *= bound - (-bound)
+        chunk += -bound
+        flat[lo:lo + chunk.size] = chunk
     bias = Tensor(np.zeros(out_channels, dtype=dtype), requires_grad=True)
-    return ConvParams(weight, bias, dilation=dilation, transposed=transposed)
+    return ConvParams(Tensor(weight, requires_grad=True), bias,
+                      dilation=dilation, transposed=transposed)
 
 
 def apply_conv(x: Tensor, p: ConvParams) -> Tensor:

@@ -22,6 +22,8 @@ PGM files are binary "P5" with maxval 255; masks are exported with levels
 from __future__ import annotations
 
 import json
+import math
+import os
 import shutil
 import struct
 from dataclasses import asdict, dataclass
@@ -183,48 +185,58 @@ def write_otf(path, tensors) -> None:
             f.write(nb)
             f.write(struct.pack("<B", arr.ndim))
             f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+            f.write(memoryview(np.ascontiguousarray(arr, dtype="<f4")))
 
 
 def read_otf(path) -> dict:
-    """Read an OTF file into an ordered {name: float32 ndarray} dict."""
-    blob = Path(path).read_bytes()
-    pos = 0
+    """Read an OTF file into an ordered {name: float32 ndarray} dict.
 
-    def take(n, what):
-        nonlocal pos
-        if pos + n > len(blob):
-            raise OtfError(f"truncated while reading {what} at byte {pos} of {path}")
-        out = blob[pos:pos + n]
-        pos += n
-        return out
+    Each payload is read straight from the file into its own new array, so
+    the arrays are owned, aligned and writeable, and a load holds at most one
+    copy of the file.  A payload larger than the bytes left in the file is
+    reported as truncated before anything is allocated for it.
+    """
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
 
-    if take(4, "magic") != OTF_MAGIC:
-        raise OtfError(f"bad magic at byte 0 of {path}: not an OTF file")
-    (count,) = struct.unpack("<I", take(4, "tensor count"))
-    result = {}
-    for t in range(count):
-        at = pos
-        (name_len,) = struct.unpack("<H", take(2, f"name length of tensor {t}"))
-        try:
-            name = take(name_len, f"name of tensor {t}").decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise OtfError(f"invalid UTF-8 name at byte {at} of {path}") from e
-        if not name:
-            raise OtfError(f"empty tensor name at byte {at} of {path}")
-        if name in result:
-            raise OtfError(f"duplicate tensor name {name!r} at byte {at} of {path}")
-        (rank,) = struct.unpack("<B", take(1, f"rank of {name!r}"))
-        if rank < 1:
-            raise OtfError(f"tensor {name!r} has rank 0 at byte {pos - 1} of {path}")
-        extents = struct.unpack(f"<{rank}I", take(4 * rank, f"extents of {name!r}"))
-        if any(e < 1 for e in extents):
-            raise OtfError(f"tensor {name!r} has a zero extent at byte {at} of {path}")
-        n_values = int(np.prod(extents, dtype=np.int64))
-        payload = take(4 * n_values, f"payload of {name!r}")
-        result[name] = np.frombuffer(payload, dtype="<f4").reshape(extents).copy()
-    if pos != len(blob):
-        raise OtfError(f"{len(blob) - pos} trailing bytes after tensor {count - 1} of {path}")
+        def take(n, what):
+            at = f.tell()
+            out = f.read(n)
+            if len(out) != n:
+                raise OtfError(f"truncated while reading {what} at byte {at} of {path}")
+            return out
+
+        if take(4, "magic") != OTF_MAGIC:
+            raise OtfError(f"bad magic at byte 0 of {path}: not an OTF file")
+        (count,) = struct.unpack("<I", take(4, "tensor count"))
+        result = {}
+        for t in range(count):
+            at = f.tell()
+            (name_len,) = struct.unpack("<H", take(2, f"name length of tensor {t}"))
+            try:
+                name = take(name_len, f"name of tensor {t}").decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise OtfError(f"invalid UTF-8 name at byte {at} of {path}") from e
+            if not name:
+                raise OtfError(f"empty tensor name at byte {at} of {path}")
+            if name in result:
+                raise OtfError(f"duplicate tensor name {name!r} at byte {at} of {path}")
+            (rank,) = struct.unpack("<B", take(1, f"rank of {name!r}"))
+            if rank < 1:
+                raise OtfError(f"tensor {name!r} has rank 0 at byte {f.tell() - 1} of {path}")
+            extents = struct.unpack(f"<{rank}I", take(4 * rank, f"extents of {name!r}"))
+            if any(e < 1 for e in extents):
+                raise OtfError(f"tensor {name!r} has a zero extent at byte {at} of {path}")
+            at, n_bytes = f.tell(), 4 * math.prod(extents)
+            truncated = f"truncated while reading payload of {name!r} at byte {at} of {path}"
+            if n_bytes > size - at:
+                raise OtfError(f"{truncated}: {n_bytes} bytes claimed, {size - at} left")
+            arr = np.empty(extents, dtype="<f4")
+            if f.readinto(arr) != n_bytes:
+                raise OtfError(truncated)
+            result[name] = arr
+        if f.tell() != size:
+            raise OtfError(f"{size - f.tell()} trailing bytes after tensor {count - 1} of {path}")
     return result
 
 

@@ -237,6 +237,21 @@ def adam_step_naive(params, grads, state) -> None:
         p.data = p.data - state.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
 
+def kaiming_conv_naive(rng, in_channels, out_channels, kernel, *, transposed=False,
+                       dtype=np.float32) -> np.ndarray:
+    """Kaiming-uniform fan-in weight drawn whole in float64, then cast.
+
+    The oracle for ``blocks.kaiming_conv``'s chunked fill.
+    """
+    fan_in = in_channels * kernel * kernel
+    bound = np.sqrt(6.0 / fan_in)
+    if transposed:
+        shape = (in_channels, out_channels, kernel, kernel)
+    else:
+        shape = (out_channels, in_channels, kernel, kernel)
+    return rng.uniform(-bound, bound, size=shape).astype(dtype)
+
+
 # ---------------------------------------------------------------------------
 # Finite differences
 # ---------------------------------------------------------------------------

@@ -127,13 +127,19 @@ def adam_state_arrays(state: AdamState) -> dict:
 
 def adam_state_from_arrays(arrays: dict, lr=AdamState.lr,
                            weight_decay=AdamState.weight_decay) -> AdamState:
+    """Rebuild optimizer state from ``adam_state_arrays`` entries.
+
+    The state owns the moment arrays from then on: float32 arrays, such as
+    those ``read_otf`` returns, are taken over, not copied, and ``adam_step``
+    updates them in place, so the caller must not use them elsewhere.
+    """
     state = AdamState(lr=lr, weight_decay=weight_decay)
     state.t = int(arrays.get("adam.t", np.zeros(1))[0])
     for name, arr in arrays.items():
         if name.startswith("adam.m."):
-            state.m[name[len("adam.m."):]] = arr.copy()
+            state.m[name[len("adam.m."):]] = arr.astype(np.float32, copy=False)
         elif name.startswith("adam.v."):
-            state.v[name[len("adam.v."):]] = arr.copy()
+            state.v[name[len("adam.v."):]] = arr.astype(np.float32, copy=False)
     return state
 
 

@@ -255,6 +255,10 @@ def oracle_suite():
                 for dtype in (np.float32, np.float64) for wd in (0.0, AdamState.weight_decay))
     results.append(CheckResult("adam", float(worst), 0.0))
 
+    worst = sum(init_mismatches(dtype, transposed)
+                for dtype in (np.float32, np.float64) for transposed in (False, True))
+    results.append(CheckResult("init", float(worst), 0.0))
+
     return results
 
 
@@ -286,6 +290,29 @@ def adam_mismatches(dtype, weight_decay) -> int:
         for a, b in ((p.data, q.data), (fast_state.m[k], slow_state.m[k]),
                      (fast_state.v[k], slow_state.v[k])):
             mismatches += int(np.count_nonzero(a.view(bits) != b.view(bits)))
+    return mismatches
+
+
+INIT_SIZES = (1, blocks.KAIMING_CHUNK - 1, blocks.KAIMING_CHUNK, blocks.KAIMING_CHUNK + 1,
+              3 * blocks.KAIMING_CHUNK + 5)
+
+
+def init_mismatches(dtype, transposed) -> int:
+    """Weight elements whose bits differ between the chunked
+    ``blocks.kaiming_conv`` and ``reference.kaiming_conv_naive``, plus one per
+    size after which the two generators' states differ.
+
+    One weight per size in ``INIT_SIZES``, straddling the chunk edges, each
+    a 1x1 conv with that many input channels.
+    """
+    fast, slow = np.random.default_rng(13), np.random.default_rng(13)
+    bits = np.uint32 if np.dtype(dtype).itemsize == 4 else np.uint64
+    mismatches = 0
+    for n in INIT_SIZES:
+        got = blocks.kaiming_conv(fast, n, 1, 1, transposed=transposed, dtype=dtype).weight.data
+        ref = reference.kaiming_conv_naive(slow, n, 1, 1, transposed=transposed, dtype=dtype)
+        mismatches += int(np.count_nonzero(got.view(bits) != ref.view(bits)))
+        mismatches += int(fast.bit_generator.state != slow.bit_generator.state)
     return mismatches
 
 

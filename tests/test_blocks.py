@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from omeganet import blocks, reference
+from omeganet import blocks, reference, verify
 from omeganet.tensor import Tensor, ShapeError
 
 
@@ -26,6 +26,14 @@ class TestNamedParameters:
         tree = {"x": [None, blocks.ConvParams(a, b, dilation=2)], "y": {"z": c}, "k": 10}
         assert [(n, id(t)) for n, t in blocks.named_parameters(tree, "net")] == [
             ("net.x.2.weight", id(a)), ("net.x.2.bias", id(b)), ("net.y.z", id(c))]
+
+
+class TestKaimingInit:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_chunked_fill_bit_identical_to_whole_draw(self, dtype, transposed):
+        # sizes straddle the chunk edges; the generators' states must agree too
+        assert verify.init_mismatches(dtype, transposed) == 0
 
 
 class TestConvBlock:

@@ -1,5 +1,6 @@
 """Synthetic generator invariants, OTF container fuzzing, PGM format contracts."""
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -111,6 +112,8 @@ class TestOtf:
             for name in tensors:
                 assert out[name].shape == tensors[name].shape
                 assert out[name].tobytes() == tensors[name].tobytes()
+                flags = out[name].flags
+                assert flags.owndata and flags.aligned and flags.writeable
 
     def test_duplicate_names_rejected(self, tmp_path):
         arr = np.zeros(1, dtype=np.float32)
@@ -135,6 +138,14 @@ class TestOtf:
         write_otf(path, {"a": np.arange(8, dtype=np.float32)})
         blob = path.read_bytes()
         path.write_bytes(blob[:-5])
+        with pytest.raises(OtfError, match="truncated.*payload"):
+            read_otf(path)
+
+    def test_huge_extents_diagnosed_before_allocating(self, tmp_path):
+        # the header claims a 1 PB payload in a 32-byte file
+        path = tmp_path / "huge.otf"
+        header = b"OTF1" + struct.pack("<IH", 1, 1) + b"a" + struct.pack("<B3I", 3, *[65535] * 3)
+        path.write_bytes(header + b"\0" * 8)
         with pytest.raises(OtfError, match="truncated.*payload"):
             read_otf(path)
 

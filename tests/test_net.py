@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from omeganet import blocks
+from omeganet import blocks, verify
 from omeganet import net as net_module
 from omeganet.data import read_otf, write_otf
 from omeganet.net import (
@@ -328,6 +328,14 @@ class TestCheckpoint:
         for (na, pa), (_, pb) in zip(net.named_parameters(), loaded.named_parameters()):
             np.testing.assert_array_equal(pa.data, pb.data)
         assert extra["adam.t"][0] == 3.0
+
+    def test_tiny_checkpoint_bytes_are_frozen(self, tmp_path):
+        # pins the seed-0 Kaiming init bits and the writer's bytes together;
+        # recorded from the whole-array init and the tobytes() writer
+        path = tmp_path / "tiny.otf"
+        save_checkpoint(OmegaNet(verify.tiny_config(), seed=0), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "34244eee1f88be2990ce74173f349f1613e99d4955613b8cda2f94004438a5af")
 
     def test_shape_mismatch_names_tensor(self, tmp_path):
         net = OmegaNet(toy_config(), seed=0)
