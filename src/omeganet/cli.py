@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -67,15 +68,51 @@ class RunConfig:
     paths: dict
 
 
-_TRAIN_KEYS = {f.name for f in fields(TrainLoopConfig)} | {"lr", "weight_decay"}
-_DATA_KEYS = {f.name for f in fields(SyntheticSpec)}
+def _kinds(cls, **extra):
+    """{field name: annotation} of a config dataclass, plus ``extra``; the
+    config modules postpone annotations, so each is its type's name."""
+    return {f.name: f.type for f in fields(cls)} | extra
+
+
+_MODEL_KINDS = _kinds(ModelConfig, decoder_channels="list")  # older checkpoints' key
+_TRAIN_KINDS = _kinds(TrainLoopConfig, lr="float", weight_decay="float")
+_DATA_KINDS = _kinds(SyntheticSpec)
 _PATH_KEYS = {"data_dir", "checkpoint", "metrics_csv"}
 
 
-def _check_keys(section: str, given: dict, allowed: set):
-    unknown = set(given) - allowed
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v):
+    # Python's json reads NaN and Infinity, which JSON itself does not have
+    return _is_int(v) or (isinstance(v, float) and math.isfinite(v))
+
+
+# the JSON values each annotation accepts: a list is encoder_channels, a tuple a radius pair
+_JSON_KINDS = {
+    "int": (_is_int, "an integer"),
+    "float": (_is_number, "a finite number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "list": (lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers"),
+    "tuple": (lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)),
+              "a pair of numbers"),
+}
+
+
+def _check_keys(section: str, given: dict, allowed):
+    unknown = set(given) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown keys in '{section}' section: {sorted(unknown)}")
+
+
+def _check_section(section: str, given: dict, kinds: dict):
+    """Reject unknown keys, and values of a JSON type their field does not take."""
+    _check_keys(section, given, kinds)
+    for key, value in given.items():
+        accepts, wanted = _JSON_KINDS[kinds[key]]
+        if not accepts(value):
+            raise ConfigError(f"'{section}.{key}' must be {wanted}, got {json.dumps(value)}")
 
 
 def load_run_config(path) -> RunConfig:
@@ -92,14 +129,17 @@ def load_run_config(path) -> RunConfig:
     for section in ("model", "train", "data", "paths"):
         if section not in raw:
             raise ConfigError(f"config file {path} is missing the '{section}' section")
+        if not isinstance(raw[section], dict):
+            raise ConfigError(f"the '{section}' section must be a JSON object")
 
+    _check_section("model", raw["model"], _MODEL_KINDS)
     try:
         model = ModelConfig.from_dict(raw["model"])
     except (TypeError, ValueError) as e:
         raise ConfigError(f"invalid model config: {e}") from e
 
     tr = dict(raw["train"])
-    _check_keys("train", tr, _TRAIN_KEYS)
+    _check_section("train", tr, _TRAIN_KINDS)
     lr = float(tr.pop("lr", AdamState.lr))
     weight_decay = float(tr.pop("weight_decay", AdamState.weight_decay))
     try:
@@ -110,7 +150,7 @@ def load_run_config(path) -> RunConfig:
         raise ConfigError("lr must be > 0 and weight_decay >= 0")
 
     da = dict(raw["data"])
-    _check_keys("data", da, _DATA_KEYS)
+    _check_section("data", da, _DATA_KINDS)
     for key in ("organ_radius", "tumor_radius"):
         if key in da:
             da[key] = tuple(da[key])

@@ -18,6 +18,8 @@ import numpy as np
 
 from . import blocks
 from .blocks import (
+    ConvBlockParams,
+    ConvParams,
     apply_conv,
     conv_block,
     init_conv_block,
@@ -124,6 +126,14 @@ class ModelConfig:
 
 
 @dataclass
+class DecoderStage:
+    """One climb of an expansive path: up-sample, concatenate the skip, conv block."""
+
+    up: ConvParams
+    block: ConvBlockParams
+
+
+@dataclass
 class DualOutput:
     """Logit maps from both heads, each (N, L, H, W)."""
 
@@ -155,18 +165,13 @@ class OmegaNet:
         else:
             self.skip_dspa = None
 
-        self.aux_up, self.aux_block = [], []
-        self.main_up, self.main_block = [], []
+        # the main skip is the aux stage output concatenated with the MSC skip
+        self.aux, self.main = [], []
         for j in range(1, d):
             c = dec_ch[j]
-            self.aux_up.append(
-                kaiming_conv(rng, dec_ch[j - 1], c, 2, transposed=True, dtype=dtype)
-            )
-            self.aux_block.append(init_conv_block(rng, 2 * c, c, dtype))
-            self.main_up.append(
-                kaiming_conv(rng, dec_ch[j - 1], c, 2, transposed=True, dtype=dtype)
-            )
-            self.main_block.append(init_conv_block(rng, 3 * c, c, dtype))
+            for path, skip_channels in ((self.aux, c), (self.main, 2 * c)):
+                up = kaiming_conv(rng, dec_ch[j - 1], c, 2, transposed=True, dtype=dtype)
+                path.append(DecoderStage(up, init_conv_block(rng, c + skip_channels, c, dtype)))
 
         self.head_aux = kaiming_conv(rng, dec_ch[d - 1], config.out_channels, 1, dtype=dtype)
         self.head_main = kaiming_conv(rng, dec_ch[d - 1], config.out_channels, 1, dtype=dtype)
@@ -178,8 +183,8 @@ class OmegaNet:
             "enc": self.encoder,
             "msc": self.skip_msc,
             "dspa": self.skip_dspa,
-            "aux": [{"up": u, "block": b} for u, b in zip(self.aux_up, self.aux_block)],
-            "main": [{"up": u, "block": b} for u, b in zip(self.main_up, self.main_block)],
+            "aux": self.aux,
+            "main": self.main,
             "head": {"aux": self.head_aux, "main": self.head_main},
         }))
 
@@ -219,28 +224,29 @@ class OmegaNet:
             for j in range(1, d)
         ]
 
-    def decode_additional(self, encs, msc_outs):
-        """Auxiliary expansive path; returns its d-1 stage outputs."""
+    @staticmethod
+    def _climb(prev, stages, skips):
+        """Run an expansive path from ``prev``; returns its stage outputs.
+
+        ``zip`` draws each stage's skip before the stage runs, so a lazily
+        built skip is computed before its up-sampler."""
         outs = []
-        prev = encs[-1]
-        for j in range(1, self.config.depth):
-            up = apply_conv(prev, self.aux_up[j - 1])
-            prev = conv_block(concat_channels([up, msc_outs[j - 1]]), self.aux_block[j - 1])
+        for stage, skip in zip(stages, skips):
+            up = apply_conv(prev, stage.up)
+            prev = conv_block(concat_channels([up, skip]), stage.block)
             outs.append(prev)
         return outs
 
+    def decode_additional(self, encs, msc_outs):
+        """Auxiliary expansive path; returns its d-1 stage outputs."""
+        return self._climb(encs[-1], self.aux, msc_outs)
+
     def decode_original(self, encs, aux_feats, msc_outs):
         """Main expansive path with attended skips; returns its d-1 stage outputs."""
-        outs = []
-        prev = encs[-1]
-        for j in range(1, self.config.depth):
-            skip = concat_channels([aux_feats[j - 1], msc_outs[j - 1]])
-            if self.skip_dspa is not None:
-                skip = mdsa(skip, self.skip_dspa[j - 1])
-            up = apply_conv(prev, self.main_up[j - 1])
-            prev = conv_block(concat_channels([up, skip]), self.main_block[j - 1])
-            outs.append(prev)
-        return outs
+        skips = (concat_channels([a, m]) for a, m in zip(aux_feats, msc_outs))
+        if self.skip_dspa is not None:
+            skips = map(mdsa, skips, self.skip_dspa)
+        return self._climb(encs[-1], self.main, skips)
 
     def forward(self, x: Tensor) -> DualOutput:
         encs = self.encode(x)

@@ -13,11 +13,13 @@ gradient-check suites build float64 tensors and exercise the identical code
 paths.  Convolutions go through im2col + GEMM; the naive loop versions live
 in :mod:`omeganet.reference` and are used only as test oracles.  A conv has
 stride 1 and an odd square kernel, any dilation, and "same" zero padding
-derived from the kernel, so it keeps its input's extent; its windows are one
-strided view of the padded input: im2col copies it, col2im scatter-adds into
-it, and the backward gathers the columns again from the input instead of
-keeping them.  A transposed conv up-samples by its square kernel's size k with
-stride k; its windows never overlap, so it is a GEMM plus a pixel shuffle.
+derived from the kernel, so it keeps its input's extent.  The im2col/col2im
+pair owns that padding: im2col copies one strided window view of a zero
+buffer holding the input, col2im adds each kernel tap's shifted, clipped slab
+straight into a buffer of the input's extent, and the backward gathers the
+columns again from the input instead of keeping them.  A transposed conv
+up-samples by its square kernel's size k with stride k; its windows never
+overlap, so it is a GEMM plus a pixel shuffle.
 """
 from __future__ import annotations
 
@@ -165,49 +167,55 @@ def _node(out_data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
 # im2col / col2im machinery (stride-1 conv2d only)
 # ---------------------------------------------------------------------------
 
-def _windows(xp: np.ndarray, kh: int, kw: int, dilation: int,
-             writeable: bool = False) -> np.ndarray:
-    """The (N, C, kh, kw, out_h, out_w) view of every stride-1 window of ``xp``.
+def _im2col(x: np.ndarray, k: int, dilation: int) -> np.ndarray:
+    """Gather the (N, C*k*k, H*W) columns of a stride-1 "same" conv of ``x``.
 
-    view[n, c, i, j, y, x] is xp[n, c, y + i*dilation, x + j*dilation], with
-    out = extent - (k - 1)*dilation along each axis, so no window reaches past
-    ``xp``.
+    Column (c, i, j) at output pixel (y, x) holds
+    x[n, c, y - r + i*dilation, x - r + j*dilation], zero outside ``x``, with
+    r = dilation*(k-1)/2.  One copy of the window view of a zero buffer that
+    holds ``x``; a 1x1 kernel's columns are a view of ``x`` with no copy.
     """
-    n, c, h, w = xp.shape
+    n, c, h, w = x.shape
+    r = dilation * (k - 1) // 2
+    xp = x
+    if r:
+        xp = np.zeros((n, c, h + 2 * r, w + 2 * r), dtype=x.dtype)
+        xp[:, :, r:r + h, r:r + w] = x
     sn, sc, sh, sw = xp.strides
-    return np.lib.stride_tricks.as_strided(
-        xp, (n, c, kh, kw, h - (kh - 1) * dilation, w - (kw - 1) * dilation),
-        (sn, sc, sh * dilation, sw * dilation, sh, sw),
-        writeable=writeable,
+    windows = np.lib.stride_tricks.as_strided(
+        xp, (n, c, k, k, h, w), (sn, sc, sh * dilation, sw * dilation, sh, sw),
+        writeable=False,
     )
+    return windows.reshape(n, c * k * k, h * w)
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, dilation: int) -> np.ndarray:
-    """Gather (N, C*kh*kw, out_h*out_w) patch columns from a padded input.
+def _tap_slices(offset: int, extent: int):
+    """(input, output) slices of a tap that reads input position out + offset, clipped."""
+    lo = max(0, -offset)
+    hi = max(lo, min(extent, extent - offset))
+    return slice(lo + offset, hi + offset), slice(lo, hi)
 
-    One copy of the window view; a 1x1 kernel's columns are a view of ``xp``
-    with no copy.
+
+def _col2im(cols: np.ndarray, shape, k: int, dilation: int) -> np.ndarray:
+    """Scatter-add columns into a zero buffer of the input's ``shape``; adjoint of _im2col.
+
+    Taps are added in (i, j) order, each shifted by (i*dilation - r,
+    j*dilation - r) and clipped to the input, so every pixel sums the same
+    terms in the same order from +0.0 as a scatter into the padded extent
+    would.  A 1x1 kernel's buffer is a reshape of ``cols`` with no copy.
     """
-    windows = _windows(xp, kh, kw, dilation)
-    n, c, _, _, out_h, out_w = windows.shape
-    return windows.reshape(n, c * kh * kw, out_h * out_w)
-
-
-def _col2im(cols: np.ndarray, shape, kh: int, kw: int, dilation: int) -> np.ndarray:
-    """Scatter-add columns into a zero (N, C, h, w) buffer of ``shape``; adjoint of _im2col.
-
-    Each tap (i, j) is added in turn through a writable window view of a zero
-    buffer.  A 1x1 kernel's buffer is a reshape of ``cols`` with no copy.
-    """
-    if kh == kw == 1:
+    if k == 1:
         return cols.reshape(shape)
-    xp = np.zeros(shape, dtype=cols.dtype)
-    windows = _windows(xp, kh, kw, dilation, writeable=True)
-    cols = cols.reshape(windows.shape)
-    for i in range(kh):
-        for j in range(kw):
-            windows[:, :, i, j] += cols[:, :, i, j]
-    return xp
+    n, c, h, w = shape
+    r = dilation * (k - 1) // 2
+    cols = cols.reshape(n, c, k, k, h, w)
+    dx = np.zeros(shape, dtype=cols.dtype)
+    for i in range(k):
+        dst_y, src_y = _tap_slices(i * dilation - r, h)
+        for j in range(k):
+            dst_x, src_x = _tap_slices(j * dilation - r, w)
+            dx[:, :, dst_y, dst_x] += cols[:, :, i, j, src_y, src_x]
+    return dx
 
 
 # ---------------------------------------------------------------------------
@@ -238,17 +246,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, dilation: int = 1) -> Tensor
         raise ShapeError(f"conv2d bias must have shape ({c_out},), got {bias.shape}")
     if dilation < 1:
         raise ValueError("conv2d requires dilation >= 1")
-    r = dilation * (k - 1) // 2
-
-    def columns():
-        xp = x.data
-        if r:
-            xp = np.pad(xp, ((0, 0), (0, 0), (r, r), (r, r)))
-        return _im2col(xp, k, k, dilation)
 
     # the columns are dropped after the GEMM; backward gathers them again
     w2 = weight.data.reshape(c_out, -1)
-    out = np.matmul(w2, columns())
+    out = np.matmul(w2, _im2col(x.data, k, dilation))
     out += bias.data.reshape(1, c_out, 1)
     out = out.reshape(n, c_out, h, w)
 
@@ -257,14 +258,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, dilation: int = 1) -> Tensor
         if bias.requires_grad:
             _accumulate(bias, g2.sum(axis=(0, 2)))
         if weight.requires_grad:
-            dw = np.matmul(g2, columns().transpose(0, 2, 1)).sum(axis=0)
+            dw = np.matmul(g2, _im2col(x.data, k, dilation).transpose(0, 2, 1)).sum(axis=0)
             _accumulate(weight, dw.reshape(weight.shape))
         if x.requires_grad:
             dcols = np.matmul(w2.T, g2)
-            dxp = _col2im(dcols, (n, c_in, h + 2 * r, w + 2 * r), k, k, dilation)
-            if r:
-                dxp = dxp[:, :, r:-r, r:-r]
-            _accumulate(x, dxp)
+            _accumulate(x, _col2im(dcols, x.shape, k, dilation))
 
     return _node(out, (x, weight, bias), backward)
 

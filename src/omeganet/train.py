@@ -116,12 +116,13 @@ def adam_step(params, grads, state: AdamState) -> None:
 
 
 def adam_state_arrays(state: AdamState) -> dict:
-    """Flatten optimizer state into float32 arrays for checkpointing."""
+    """Flatten optimizer state into float32 arrays for checkpointing; float32
+    moments are returned as they are, not copied."""
     out = {"adam.t": np.array([state.t], dtype=np.float32)}
     for name, arr in state.m.items():
-        out[f"adam.m.{name}"] = arr.astype(np.float32)
+        out[f"adam.m.{name}"] = arr.astype(np.float32, copy=False)
     for name, arr in state.v.items():
-        out[f"adam.v.{name}"] = arr.astype(np.float32)
+        out[f"adam.v.{name}"] = arr.astype(np.float32, copy=False)
     return out
 
 

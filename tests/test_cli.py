@@ -95,6 +95,33 @@ class TestConfigValidation:
         config.write_text(json.dumps(raw))
         assert main(["gen-data", "--config", str(config)]) == 2
 
+    @pytest.mark.parametrize("command", ["gen-data", "train"])
+    @pytest.mark.parametrize("dotted, value", [
+        ("train.lr", [1]),
+        ("train.lr", None),
+        ("train.lr", float("nan")),
+        ("data.noise_sigma", float("inf")),
+        ("data.organ_radius", 0.2),
+        ("train.epochs", 0.5),
+        ("train.micro_batch_size", 1.5),
+        ("train.seed", 1.5),
+        ("model.mdsa_enabled", "false"),
+        ("model.k", 2.5),
+    ])
+    def test_value_of_wrong_json_type_exits_2_naming_key(self, tmp_path, capsys,
+                                                         command, dotted, value):
+        config, _ = make_config(tmp_path, **{dotted: value})
+        assert main([command, "--config", str(config)]) == 2
+        assert dotted in capsys.readouterr().err
+
+    def test_section_that_is_not_an_object_exits_2(self, tmp_path, capsys):
+        config, _ = make_config(tmp_path)
+        raw = json.loads(config.read_text())
+        raw["train"] = list(raw["train"].items())
+        config.write_text(json.dumps(raw))
+        assert main(["gen-data", "--config", str(config)]) == 2
+        assert "'train' section" in capsys.readouterr().err
+
 
 def truncated_checkpoint(cfg, tmp_path):
     """A checkpoint of the run config's model, cut off mid-payload."""

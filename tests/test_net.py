@@ -180,15 +180,15 @@ class TestDecoders:
         m1 = blocks.cascade_msc(e2, net.skip_msc[0])
         m2 = blocks.cascade_msc(e1, net.skip_msc[1])
         a1 = blocks.conv_block(
-            concat_channels([blocks.apply_conv(e3, net.aux_up[0]), m1]), net.aux_block[0])
+            concat_channels([blocks.apply_conv(e3, net.aux[0].up), m1]), net.aux[0].block)
         a2 = blocks.conv_block(
-            concat_channels([blocks.apply_conv(a1, net.aux_up[1]), m2]), net.aux_block[1])
+            concat_channels([blocks.apply_conv(a1, net.aux[1].up), m2]), net.aux[1].block)
         s1 = blocks.mdsa(concat_channels([a1, m1]), net.skip_dspa[0])
         o1 = blocks.conv_block(
-            concat_channels([blocks.apply_conv(e3, net.main_up[0]), s1]), net.main_block[0])
+            concat_channels([blocks.apply_conv(e3, net.main[0].up), s1]), net.main[0].block)
         s2 = blocks.mdsa(concat_channels([a2, m2]), net.skip_dspa[1])
         o2 = blocks.conv_block(
-            concat_channels([blocks.apply_conv(o1, net.main_up[1]), s2]), net.main_block[1])
+            concat_channels([blocks.apply_conv(o1, net.main[1].up), s2]), net.main[1].block)
         np.testing.assert_array_equal(got.aux_logits.data,
                                       blocks.apply_conv(a2, net.head_aux).data)
         np.testing.assert_array_equal(got.main_logits.data,

@@ -12,7 +12,6 @@ from omeganet.tensor import (
     _accumulate,
     _col2im,
     _im2col,
-    _windows,
     ShapeError,
     no_grad,
     add,
@@ -164,43 +163,48 @@ class TestTransposedConv2d:
 
 
 # ---------------------------------------------------------------------------
-# window view, im2col and col2im
+# im2col and col2im
 # ---------------------------------------------------------------------------
 
 class TestWindows:
     def test_col2im_is_exact_adjoint_of_im2col(self):
+        # extents start at 1, so whole taps fall outside the input (k=5, d=2: r=4)
         rng = np.random.default_rng(2006)
         for _ in range(200):
-            kh, kw = rng.integers(1, 6, size=2)
-            dilation, padding = rng.integers(1, 3), rng.integers(0, 3)
+            k, dilation = int(rng.choice([1, 3, 5])), int(rng.integers(1, 3))
             n, c = rng.integers(1, 3), rng.integers(1, 4)
-            eff_h, eff_w = dilation * (kh - 1) + 1, dilation * (kw - 1) + 1
-            h = rng.integers(max(1, eff_h - 2 * padding), eff_h + 8)
-            w = rng.integers(max(1, eff_w - 2 * padding), eff_w + 8)
-            hp, wp = h + 2 * padding, w + 2 * padding
-            xp = rng.normal(size=(n, c, hp, wp))
-            cols = rng.normal(size=(n, c * kh * kw, (hp - eff_h + 1) * (wp - eff_w + 1)))
-            gathered = _im2col(xp, kh, kw, dilation)
-            scattered = _col2im(cols, xp.shape, kh, kw, dilation)
-            lhs, rhs = np.vdot(gathered, cols), np.vdot(xp, scattered)
+            h, w = rng.integers(1, 10, size=2)
+            x = rng.normal(size=(n, c, h, w))
+            cols = rng.normal(size=(n, c * k * k, h * w))
+            gathered = _im2col(x, k, dilation)
+            scattered = _col2im(cols, x.shape, k, dilation)
+            lhs, rhs = np.vdot(gathered, cols), np.vdot(x, scattered)
             assert abs(lhs - rhs) <= 1e-12 * np.vdot(np.abs(gathered), np.abs(cols))
 
-    def test_1x1_stride_1_shares_memory(self, rng):
-        for padding in (0, 1):
-            x = rng.normal(size=(2, 3, 4, 5))
-            xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-            cols = _im2col(xp, 1, 1, 1)
-            assert cols.shape == (2, 3, (4 + 2 * padding) * (5 + 2 * padding))
-            assert np.shares_memory(cols, xp)
-            back = _col2im(cols, xp.shape, 1, 1, 1)
-            assert np.shares_memory(back, cols)
-            np.testing.assert_array_equal(back, xp)
+    @pytest.mark.parametrize("k,dilation", [(3, 1), (3, 2), (5, 1), (5, 2)])
+    def test_col2im_sums_like_a_scatter_into_the_padded_extent(self, rng, k, dilation):
+        # same terms, same (i, j) order, from +0.0: the bits of the padded scatter
+        n, c, h, w = 2, 3, 7, 2
+        r = dilation * (k - 1) // 2
+        cols = rng.normal(size=(n, c * k * k, h * w)).astype(np.float32)
+        taps = cols.reshape(n, c, k, k, h, w)
+        padded = np.zeros((n, c, h + 2 * r, w + 2 * r), dtype=np.float32)
+        for i in range(k):
+            for j in range(k):
+                y, x = i * dilation, j * dilation
+                padded[:, :, y:y + h, x:x + w] += taps[:, :, i, j]
+        np.testing.assert_array_equal(_col2im(cols, (n, c, h, w), k, dilation),
+                                      padded[:, :, r:r + h, r:r + w])
 
-    def test_last_window_touches_the_edge(self, rng):
-        xp = rng.normal(size=(1, 2, 5, 5))
-        view = _windows(xp, 3, 2, 2)
-        assert view.shape == (1, 2, 3, 2, 1, 3)
-        assert view[0, 1, 2, 1, 0, 2] == xp[0, 1, 4, 4]
+    def test_1x1_stride_1_shares_memory(self, rng):
+        x = rng.normal(size=(2, 3, 4, 5))
+        for dilation in (1, 2):
+            cols = _im2col(x, 1, dilation)
+            assert cols.shape == (2, 3, 4 * 5)
+            assert np.shares_memory(cols, x)
+            back = _col2im(cols, x.shape, 1, dilation)
+            assert np.shares_memory(back, cols)
+            np.testing.assert_array_equal(back, x)
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,18 @@ class TestAdam:
         np.testing.assert_array_equal(restored.m["p"], state.m["p"])
         np.testing.assert_array_equal(restored.v["p"], state.v["p"])
 
+    def test_state_arrays_share_the_float32_moments(self, rng):
+        params = [(name, Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True))
+                  for name, shape in (("a", (2, 3)), ("b", (5,)))]
+        state = AdamState(lr=0.01)
+        adam_step(params, {name: rng.normal(size=p.shape).astype(np.float32)
+                           for name, p in params}, state)
+        arrays = adam_state_arrays(state)
+        for moments, kind in ((state.m, "m"), (state.v, "v")):
+            for name, arr in moments.items():
+                assert np.shares_memory(arrays[f"adam.{kind}.{name}"], arr)
+        assert len(arrays) == 1 + 2 * len(params)
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("weight_decay", [0.0, 1.5e-4])
     def test_bit_identical_to_whole_array_formula(self, dtype, weight_decay):
