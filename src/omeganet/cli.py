@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +29,7 @@ from .net import (
     ModelConfig,
     OmegaNet,
     build_from_checkpoint,
+    read_config,
     save_checkpoint,
 )
 from .tensor import ShapeError, Tensor, no_grad, sigmoid
@@ -68,51 +68,8 @@ class RunConfig:
     paths: dict
 
 
-def _kinds(cls, **extra):
-    """{field name: annotation} of a config dataclass, plus ``extra``; the
-    config modules postpone annotations, so each is its type's name."""
-    return {f.name: f.type for f in fields(cls)} | extra
-
-
-_MODEL_KINDS = _kinds(ModelConfig, decoder_channels="list")  # older checkpoints' key
-_TRAIN_KINDS = _kinds(TrainLoopConfig, lr="float", weight_decay="float")
-_DATA_KINDS = _kinds(SyntheticSpec)
+_SECTIONS = {"model", "train", "data", "paths"}
 _PATH_KEYS = {"data_dir", "checkpoint", "metrics_csv"}
-
-
-def _is_int(v):
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_number(v):
-    # Python's json reads NaN and Infinity, which JSON itself does not have
-    return _is_int(v) or (isinstance(v, float) and math.isfinite(v))
-
-
-# the JSON values each annotation accepts: a list is encoder_channels, a tuple a radius pair
-_JSON_KINDS = {
-    "int": (_is_int, "an integer"),
-    "float": (_is_number, "a finite number"),
-    "bool": (lambda v: isinstance(v, bool), "true or false"),
-    "list": (lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers"),
-    "tuple": (lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)),
-              "a pair of numbers"),
-}
-
-
-def _check_keys(section: str, given: dict, allowed):
-    unknown = set(given) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown keys in '{section}' section: {sorted(unknown)}")
-
-
-def _check_section(section: str, given: dict, kinds: dict):
-    """Reject unknown keys, and values of a JSON type their field does not take."""
-    _check_keys(section, given, kinds)
-    for key, value in given.items():
-        accepts, wanted = _JSON_KINDS[kinds[key]]
-        if not accepts(value):
-            raise ConfigError(f"'{section}.{key}' must be {wanted}, got {json.dumps(value)}")
 
 
 def load_run_config(path) -> RunConfig:
@@ -123,47 +80,24 @@ def load_run_config(path) -> RunConfig:
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as e:
         raise ConfigError(f"config file {path} is not valid JSON: {e}") from e
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
-    _check_keys("top level", raw, {"model", "train", "data", "paths"})
-    for section in ("model", "train", "data", "paths"):
-        if section not in raw:
-            raise ConfigError(f"config file {path} is missing the '{section}' section")
-        if not isinstance(raw[section], dict):
-            raise ConfigError(f"the '{section}' section must be a JSON object")
+    if not isinstance(raw, dict) or set(raw) != _SECTIONS:
+        raise ConfigError(f"config file {path} must hold a JSON object with exactly the"
+                          f" sections {sorted(_SECTIONS)}")
 
-    _check_section("model", raw["model"], _MODEL_KINDS)
-    try:
-        model = ModelConfig.from_dict(raw["model"])
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"invalid model config: {e}") from e
-
-    tr = dict(raw["train"])
-    _check_section("train", tr, _TRAIN_KINDS)
-    lr = float(tr.pop("lr", AdamState.lr))
-    weight_decay = float(tr.pop("weight_decay", AdamState.weight_decay))
-    try:
-        loop = TrainLoopConfig(**tr).validate()
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"invalid train config: {e}") from e
+    model = ModelConfig.from_dict(raw["model"])
+    loop, rates = read_config(TrainLoopConfig, "train", raw["train"],
+                              lr="float", weight_decay="float")
+    lr = float(rates.get("lr", AdamState.lr))
+    weight_decay = float(rates.get("weight_decay", AdamState.weight_decay))
     if lr <= 0 or weight_decay < 0:
         raise ConfigError("lr must be > 0 and weight_decay >= 0")
+    spec, _ = read_config(SyntheticSpec, "data", raw["data"])
 
-    da = dict(raw["data"])
-    _check_section("data", da, _DATA_KINDS)
-    for key in ("organ_radius", "tumor_radius"):
-        if key in da:
-            da[key] = tuple(da[key])
-    try:
-        spec = SyntheticSpec(**da).validate()
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"invalid data config: {e}") from e
-
-    paths = dict(raw["paths"])
-    _check_keys("paths", paths, _PATH_KEYS)
-    for key in _PATH_KEYS:
-        if key not in paths or not isinstance(paths[key], str) or not paths[key]:
-            raise ConfigError(f"paths section must set a non-empty '{key}'")
+    paths = raw["paths"]
+    if not (isinstance(paths, dict) and set(paths) == _PATH_KEYS
+            and all(isinstance(v, str) and v for v in paths.values())):
+        raise ConfigError(f"the 'paths' section must set exactly {sorted(_PATH_KEYS)},"
+                          " each to a non-empty string")
 
     return RunConfig(model=model, train=loop, lr=lr, weight_decay=weight_decay,
                      data=spec, paths=paths)
@@ -325,21 +259,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
     except (CheckpointError, ShapeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CHECKPOINT
+    except (ValueError, FileNotFoundError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
     except DivergenceError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ mask channels.  Training minimizes lambda_s * BCE(main) + lambda_a * BCE(aux).
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field, fields
 
@@ -44,6 +45,53 @@ CONFIG_ENTRY = "config.json"
 
 class CheckpointError(ValueError):
     """A checkpoint does not match the expected parameter set or shapes."""
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v):
+    # Python's json reads NaN and Infinity, which JSON itself does not have
+    return _is_int(v) or (isinstance(v, float) and math.isfinite(v))
+
+
+# the JSON values each annotation accepts: a list is encoder_channels, a tuple a radius pair
+_JSON_KINDS = {
+    "int": (_is_int, "an integer"),
+    "float": (_is_number, "a finite number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "list": (lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers"),
+    "tuple": (lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)),
+              "a pair of numbers"),
+}
+
+
+def read_config(cls, section: str, given, **extra_kinds):
+    """Build the config dataclass ``cls`` from the JSON object ``given``.
+
+    Unknown keys, and values of a JSON type their field does not take, raise
+    ValueError naming ``'<section>.<key>'``; a number pair becomes a tuple,
+    and the instance is validated.  ``extra_kinds`` admits further keys,
+    each with its kind ("float", "list", ...); returns ``(config, {extra key:
+    value})``.  Each field's kind is its annotation read as the type's name,
+    so the module defining ``cls`` must postpone annotations
+    (``from __future__ import annotations``).
+    """
+    if not isinstance(given, dict):
+        raise ValueError(f"the '{section}' section must be a JSON object")
+    kinds = {f.name: f.type for f in fields(cls)} | extra_kinds
+    unknown = set(given) - set(kinds)
+    if unknown:
+        raise ValueError(f"unknown keys in '{section}' section: {sorted(unknown)}")
+    values = {}
+    for key, value in given.items():
+        accepts, wanted = _JSON_KINDS[kinds[key]]
+        if not accepts(value):
+            raise ValueError(f"'{section}.{key}' must be {wanted}, got {json.dumps(value)}")
+        values[key] = tuple(value) if kinds[key] == "tuple" else value
+    extra = {key: values.pop(key) for key in extra_kinds if key in values}
+    return cls(**values).validate(), extra
 
 
 def _default_encoder_channels():
@@ -86,6 +134,8 @@ class ModelConfig:
                 f"encoder_channels must list {self.depth} stages,"
                 f" got {len(self.encoder_channels)}"
             )
+        if self.encoder_channels[0] < 1:
+            raise ValueError(f"encoder_channels must start at >= 1, got {self.encoder_channels}")
         for i in range(1, self.depth):
             if self.encoder_channels[i] != 2 * self.encoder_channels[i - 1]:
                 raise ValueError(
@@ -112,15 +162,11 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d):
-        """The inverse of ``to_dict``; a ``decoder_channels`` key, which older
-        checkpoints carry, must be the reverse of ``encoder_channels``."""
-        d = dict(d)
-        legacy = d.pop("decoder_channels", None)
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown model config keys: {sorted(unknown)}")
-        config = cls(**d)
-        if legacy is not None and legacy != config.decoder_channels:
+        """The inverse of ``to_dict``, read as the ``model`` section by
+        ``read_config``; a ``decoder_channels`` key, which older checkpoints
+        carry, must be the reverse of ``encoder_channels``."""
+        config, legacy = read_config(cls, "model", d, decoder_channels="list")
+        if legacy and legacy["decoder_channels"] != config.decoder_channels:
             raise ValueError("decoder_channels must be the reverse of encoder_channels")
         return config
 
@@ -352,28 +398,48 @@ def all_finite(arr: np.ndarray) -> bool:
 def restore_parameters(net: OmegaNet, entries: dict) -> dict:
     """Load parameter tensors into the net, validating names, shapes and values.
 
-    Optimizer state entries (``adam.*``) are returned untouched; any other
-    unknown tensor, and a NaN or an infinity in any tensor, is an error.
-    Parameter arrays of the net's dtype are taken over, not copied.
+    Adam state entries are returned untouched: ``adam.t``, one non-negative
+    whole number, and ``adam.m.<name>`` with ``adam.v.<name>``, a pair of
+    moments shaped like parameter ``<name>``.  Any other tensor, a missing
+    parameter or moment partner, a misshapen tensor, and a NaN or an infinity
+    in any tensor is an error.  Parameter arrays of the net's dtype are taken
+    over, not copied.
     """
+    params = dict(net.named_parameters())
+    for name in params:
+        if name not in entries:
+            raise CheckpointError(f"checkpoint is missing tensor {name!r}")
+    extra = {}
     for name, arr in entries.items():
         if not all_finite(arr):
             raise CheckpointError(f"checkpoint tensor {name!r} holds a non-finite value")
-    remaining = dict(entries)
-    for name, p in net.named_parameters():
-        if name not in remaining:
-            raise CheckpointError(f"checkpoint is missing tensor {name!r}")
-        arr = remaining.pop(name)
+        if name == "adam.t":
+            if arr.shape != (1,) or arr[0] < 0 or not float(arr[0]).is_integer():
+                raise CheckpointError(
+                    f"checkpoint tensor 'adam.t' must be one non-negative whole number,"
+                    f" got {arr.tolist()}"
+                )
+            extra[name] = arr
+            continue
+        moment, param = name[:7], name[7:]
+        if moment not in ("adam.m.", "adam.v."):
+            param = name
+        if param not in params:
+            raise CheckpointError(f"unexpected tensor {name!r} in checkpoint")
+        p = params[param]
         if tuple(arr.shape) != tuple(p.shape):
             raise CheckpointError(
                 f"checkpoint tensor {name!r} has shape {tuple(arr.shape)},"
                 f" expected {tuple(p.shape)}"
             )
-        p.data = arr.astype(net.dtype, copy=False)
-    for name in remaining:
-        if not name.startswith("adam."):
-            raise CheckpointError(f"unexpected tensor {name!r} in checkpoint")
-    return remaining
+        if param == name:
+            p.data = arr.astype(net.dtype, copy=False)
+            continue
+        partner = ("adam.v." if moment == "adam.m." else "adam.m.") + param
+        if partner not in entries:
+            raise CheckpointError(f"checkpoint tensor {name!r} has no partner {partner!r}")
+        extra[name] = arr
+    return extra
 
 
 def build_from_checkpoint(path, expected: ModelConfig | None = None):

@@ -5,6 +5,8 @@
 built, so renaming one would fail every benchmark run.  This runs one traced
 forward and backward of the smallest full network and checks that the spans
 the per-layer metrics read are recorded and that the originals come back.
+``omegabench/worker.py`` builds its model configs by keyword, so they are
+built and round-tripped here too.
 """
 import importlib.util
 import sys
@@ -13,14 +15,14 @@ from pathlib import Path
 import numpy as np
 
 from omeganet import verify
-from omeganet.net import OmegaNet
+from omeganet.net import ModelConfig, OmegaNet
 from omeganet.tensor import Tensor
 
-TRACER = Path(__file__).resolve().parent.parent / "omegabench" / "tracer.py"
+BENCH = Path(__file__).resolve().parent.parent / "omegabench"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("omegabench_tracer", TRACER)
+def load_bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"omegabench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -38,7 +40,7 @@ def bindings():
 
 
 def test_probe_records_the_layer_spans_and_restores_the_library():
-    probe = load_tracer().Probe()
+    probe = load_bench_module("tracer").Probe()
     before = bindings()
     probe.set_mode(True)
     try:
@@ -56,3 +58,11 @@ def test_probe_records_the_layer_spans_and_restores_the_library():
     after = bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
+
+
+def test_worker_model_configs_build_and_round_trip(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))  # the worker imports tracer by bare name
+    worker = load_bench_module("worker")
+    for model in (worker.TOY_MODEL, worker.PAPER_MODEL):
+        config = ModelConfig(**model)
+        assert ModelConfig.from_dict(config.to_dict()) == config

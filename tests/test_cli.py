@@ -122,6 +122,12 @@ class TestConfigValidation:
         assert main(["gen-data", "--config", str(config)]) == 2
         assert "'train' section" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("channels", [[0, 0, 0], [-1, -2, -4]])
+    def test_channels_below_one_exit_2_naming_key(self, tmp_path, capsys, channels):
+        config, _ = make_config(tmp_path, **{"model.encoder_channels": channels})
+        assert main(["gen-data", "--config", str(config)]) == 2
+        assert "encoder_channels" in capsys.readouterr().err
+
 
 def truncated_checkpoint(cfg, tmp_path):
     """A checkpoint of the run config's model, cut off mid-payload."""
@@ -426,6 +432,50 @@ def loading_commands(config, tmp_path, ckpt):
                   "--split", "val", "--out", str(tmp_path / "e.csv")]),
             main(["train", "--config", str(config), "--resume", str(ckpt)]),
         )
+
+
+@pytest.mark.parametrize("key, value", [
+    ("k", 2.5),
+    ("out_channels", 2.0),
+    ("encoder_channels", [4.0, 8.0, 16.0]),
+    ("mdsa_enabled", "yes"),
+    ("lambda_s", True),
+])
+def test_wrong_typed_checkpoint_config_exits_4_naming_key(generated, capsys, key, value):
+    config, cfg, tmp_path = generated
+    ckpt = tmp_path / "typed.otf"
+    save_checkpoint(OmegaNet(ModelConfig(**cfg["model"]), seed=0), ckpt)
+    entries = read_otf(ckpt)
+    raw = json.dumps(dict(cfg["model"], **{key: value})).encode("utf-8")
+    entries["config.json"] = np.frombuffer(raw, dtype=np.uint8).astype(np.float32)
+    write_otf(ckpt, entries)
+    assert loading_commands(config, tmp_path, ckpt) == (4, 4, 4)
+    assert capsys.readouterr().err.count(f"'model.{key}'") == 3
+
+
+@pytest.mark.parametrize("name, value", [
+    ("adam.v.head.main.bias", None),  # leaves adam.m.head.main.bias without its partner
+    ("adam.m.head.main.bias", [0.0]),  # the bias has 2 values
+    ("adam.m.head.main.bias", [0.0, 0.0, 0.0]),
+    ("adam.t", [-3.0]),
+    ("adam.t", [1.5]),
+    ("adam.m.bogus", [0.0, 0.0]),
+], ids=["v_missing", "m_short", "m_long", "t_negative", "t_fraction", "m_of_no_parameter"])
+def test_malformed_adam_state_exits_4_naming_tensor(generated, capsys, name, value):
+    config, cfg, tmp_path = generated
+    half = tmp_path / "half.json"  # stops after one of two epochs, so a resume trains
+    half.write_text(json.dumps(dict(cfg, train=dict(cfg["train"], epochs=1))))
+    assert main(["train", "--config", str(half)]) == 0
+    entries = read_otf(cfg["paths"]["checkpoint"])
+    if value is None:
+        del entries[name]
+    else:
+        entries[name] = np.array(value, dtype=np.float32)
+    ckpt = tmp_path / "adam.otf"
+    write_otf(ckpt, entries)
+    capsys.readouterr()
+    assert loading_commands(config, tmp_path, ckpt) == (4, 4, 4)
+    assert capsys.readouterr().err.count(repr(name)) == 3
 
 
 class TestNonFinitePayload:
