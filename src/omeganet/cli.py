@@ -20,6 +20,7 @@ from .data import (
     SyntheticSpec,
     read_otf,
     read_pgm,
+    require_finite,
     write_dataset,
     write_mask_pgm,
     write_otf,
@@ -187,7 +188,7 @@ def _load_image(path) -> np.ndarray:
     tensors = read_otf(path)
     if "image" not in tensors:
         raise CheckpointError(f"{path} holds no tensor named 'image'")
-    return tensors["image"]
+    return require_finite(tensors["image"], "image", path)
 
 
 def cmd_predict(args) -> int:

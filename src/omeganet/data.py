@@ -240,6 +240,24 @@ def read_otf(path) -> dict:
     return result
 
 
+def all_finite(arr: np.ndarray) -> bool:
+    """Whether ``arr`` holds no NaN and no infinity, in one pass with no temporary.
+
+    A NaN, an infinity or an overflow leaves the sum of squares non-finite;
+    min and max, which propagate NaN, tell an overflow apart.
+    """
+    with np.errstate(over="ignore"):
+        return bool(np.isfinite(np.vdot(arr, arr))
+                    or (np.isfinite(arr.min()) and np.isfinite(arr.max())))
+
+
+def require_finite(arr: np.ndarray, name: str, path) -> np.ndarray:
+    """``arr``, tensor ``name`` read from ``path``; a NaN or an infinity in it is a ValueError."""
+    if not all_finite(arr):
+        raise ValueError(f"tensor {name!r} in {path} holds a non-finite value")
+    return arr
+
+
 # ---------------------------------------------------------------------------
 # PGM export
 # ---------------------------------------------------------------------------
@@ -345,6 +363,6 @@ class DiskDataset:
 
     def __getitem__(self, i) -> Sample:
         stem = self.dir / self.stems[i]
-        image = read_otf(f"{stem}.img.otf")["image"]
-        mask = read_otf(f"{stem}.mask.otf")["mask"]
-        return Sample(image, mask)
+        img, msk = f"{stem}.img.otf", f"{stem}.mask.otf"
+        return Sample(require_finite(read_otf(img)["image"], "image", img),
+                      require_finite(read_otf(msk)["mask"], "mask", msk))

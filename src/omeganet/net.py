@@ -29,7 +29,7 @@ from .blocks import (
     kaiming_conv,
     mdsa,
 )
-from .data import OtfError, read_otf, write_otf
+from .data import OtfError, all_finite, read_otf, write_otf
 from .tensor import (
     Tensor,
     ShapeError,
@@ -382,17 +382,6 @@ def load_checkpoint(path):
     except (TypeError, ValueError) as e:
         raise CheckpointError(f"corrupt config entry in checkpoint {path}: {e}") from e
     return config, entries
-
-
-def all_finite(arr: np.ndarray) -> bool:
-    """Whether ``arr`` holds no NaN and no infinity, in one pass with no temporary.
-
-    A NaN, an infinity or an overflow leaves the sum of squares non-finite;
-    min and max, which propagate NaN, tell an overflow apart.
-    """
-    with np.errstate(over="ignore"):
-        return bool(np.isfinite(np.vdot(arr, arr))
-                    or (np.isfinite(arr.min()) and np.isfinite(arr.max())))
 
 
 def restore_parameters(net: OmegaNet, entries: dict) -> dict:

@@ -4,9 +4,11 @@ Everything is stored row-major; feature maps are rank-4 (N, C, H, W) and
 attention matrices are plain rank-2/3 arrays.  The graph is rebuilt on every
 forward pass: each op that has a tracked input returns a Tensor carrying a
 backward closure over its parents, and ``Tensor.backward()`` replays those
-closures in reverse topological order.  Backward consumes the graph: once a
-node's closure has run, the node drops its gradient, closure and parents, so
-each intermediate output is freed as soon as its last consumer is done.
+closures in reverse topological order.  Every closure hands each operand's
+gradient to ``_accumulate``, which drops it for an operand that needs none.
+Backward consumes the graph: once a node's closure has run, the node drops
+its gradient, closure and parents, so each intermediate output is freed as
+soon as its last consumer is done.
 
 Ops preserve the dtype of their inputs.  Networks run in float32; the
 gradient-check suites build float64 tensors and exercise the identical code
@@ -94,8 +96,8 @@ class Tensor:
         """Reverse-accumulate gradients of this scalar into every tracked tensor.
 
         Gradients add across fan-out and across repeated ``backward`` calls
-        (leaves are not zeroed here); the gradient of the loss w.r.t. itself
-        is 1.  The graph is consumed as it goes: after a non-leaf node's
+        (leaves are not zeroed here); the gradient of a tracked loss w.r.t.
+        itself is 1, and an untracked one keeps ``grad`` None.  The graph is consumed as it goes: after a non-leaf node's
         closure has run, its ``grad``, closure and parents are dropped, so
         only leaf gradients survive and the graph cannot be replayed.
         """
@@ -146,6 +148,8 @@ class Tensor:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    if not t.requires_grad:  # the one gradient gate: untracked operands get none
+        return
     if t.grad is None:
         # one pass, no zero fill; adding +0.0 keeps the bits of 0 + g (-0.0 -> +0.0)
         t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
@@ -255,14 +259,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, dilation: int = 1) -> Tensor
 
     def backward(g):
         g2 = g.reshape(n, c_out, h * w)
-        if bias.requires_grad:
-            _accumulate(bias, g2.sum(axis=(0, 2)))
-        if weight.requires_grad:
-            dw = np.matmul(g2, _im2col(x.data, k, dilation).transpose(0, 2, 1)).sum(axis=0)
-            _accumulate(weight, dw.reshape(weight.shape))
-        if x.requires_grad:
-            dcols = np.matmul(w2.T, g2)
-            _accumulate(x, _col2im(dcols, x.shape, k, dilation))
+        _accumulate(bias, g2.sum(axis=(0, 2)))
+        dw = np.matmul(g2, _im2col(x.data, k, dilation).transpose(0, 2, 1)).sum(axis=0)
+        _accumulate(weight, dw.reshape(weight.shape))
+        dcols = np.matmul(w2.T, g2)
+        _accumulate(x, _col2im(dcols, x.shape, k, dilation))
 
     return _node(out, (x, weight, bias), backward)
 
@@ -299,15 +300,12 @@ def transposed_conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     def backward(g):
         gcols = (g.reshape(n, c_out, h, k, w, k).transpose(0, 1, 3, 5, 2, 4)
                  .reshape(n, c_out * k * k, h * w))
-        if bias.requires_grad:
-            _accumulate(bias, g.sum(axis=(0, 2, 3)))
-        if weight.requires_grad:
-            dw = np.matmul(x.data.reshape(n, c_in, h * w),
-                           gcols.transpose(0, 2, 1)).sum(axis=0)
-            _accumulate(weight, dw.reshape(weight.shape))
-        if x.requires_grad:
-            dx = np.matmul(w2, gcols)
-            _accumulate(x, dx.reshape(n, c_in, h, w))
+        _accumulate(bias, g.sum(axis=(0, 2, 3)))
+        dw = np.matmul(x.data.reshape(n, c_in, h * w),
+                       gcols.transpose(0, 2, 1)).sum(axis=0)
+        _accumulate(weight, dw.reshape(weight.shape))
+        dx = np.matmul(w2, gcols)
+        _accumulate(x, dx.reshape(n, c_in, h, w))
 
     return _node(out, (x, weight, bias), backward)
 
@@ -331,15 +329,11 @@ def maxpool2d(x: Tensor) -> Tensor:
     out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
 
     def backward(g):
-        if x.requires_grad:
-            dwin = np.zeros((n, c, out_h, out_w, 4), dtype=g.dtype)
-            np.put_along_axis(dwin, idx[..., None], g[..., None], axis=-1)
-            dx = (
-                dwin.reshape(n, c, out_h, out_w, 2, 2)
-                .transpose(0, 1, 2, 4, 3, 5)
-                .reshape(n, c, h, w)
-            )
-            _accumulate(x, dx)
+        dwin = np.zeros((n, c, out_h, out_w, 4), dtype=g.dtype)
+        np.put_along_axis(dwin, idx[..., None], g[..., None], axis=-1)
+        dx = (dwin.reshape(n, c, out_h, out_w, 2, 2).transpose(0, 1, 2, 4, 3, 5)
+              .reshape(n, c, h, w))
+        _accumulate(x, dx)
 
     return _node(out, (x,), backward)
 
@@ -364,9 +358,8 @@ def adaptive_avg_pool_to_k(x: Tensor, k: int) -> Tensor:
     out = np.add.reduceat(flat, bounds[:-1], axis=-1) * inv_sizes
 
     def backward(g):
-        if x.requires_grad:
-            dflat = np.repeat(g * inv_sizes, sizes, axis=-1)
-            _accumulate(x, dflat.reshape(n, c, h, w))
+        dflat = np.repeat(g * inv_sizes, sizes, axis=-1)
+        _accumulate(x, dflat.reshape(n, c, h, w))
 
     return _node(out, (x,), backward)
 
@@ -386,10 +379,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = np.matmul(a.data, b.data)
 
     def backward(g):
-        if a.requires_grad:
-            _accumulate(a, np.matmul(g, b.data.swapaxes(-1, -2)))
-        if b.requires_grad:
-            _accumulate(b, np.matmul(a.data.swapaxes(-1, -2), g))
+        _accumulate(a, np.matmul(g, b.data.swapaxes(-1, -2)))
+        _accumulate(b, np.matmul(a.data.swapaxes(-1, -2), g))
 
     return _node(out, (a, b), backward)
 
@@ -401,8 +392,7 @@ def transpose_last2(x: Tensor) -> Tensor:
     out = x.data.swapaxes(-1, -2).copy()
 
     def backward(g):
-        if x.requires_grad:
-            _accumulate(x, g.swapaxes(-1, -2))
+        _accumulate(x, g.swapaxes(-1, -2))
 
     return _node(out, (x,), backward)
 
@@ -416,9 +406,8 @@ def softmax_rows(x: Tensor) -> Tensor:
     out = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g):
-        if x.requires_grad:
-            inner = (g * out).sum(axis=-1, keepdims=True)
-            _accumulate(x, out * (g - inner))
+        inner = (g * out).sum(axis=-1, keepdims=True)
+        _accumulate(x, out * (g - inner))
 
     return _node(out, (x,), backward)
 
@@ -429,10 +418,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
 
     def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g)
-        if b.requires_grad:
-            _accumulate(b, g)
+        _accumulate(a, g)
+        _accumulate(b, g)
 
     return _node(out, (a, b), backward)
 
@@ -441,8 +428,7 @@ def relu(x: Tensor) -> Tensor:
     out = np.maximum(x.data, 0)
 
     def backward(g):
-        if x.requires_grad:
-            _accumulate(x, g * (x.data > 0))
+        _accumulate(x, g * (x.data > 0))
 
     return _node(out, (x,), backward)
 
@@ -452,8 +438,7 @@ def sigmoid(x: Tensor) -> Tensor:
     out = 0.5 * (1.0 + np.tanh(0.5 * x.data))
 
     def backward(g):
-        if x.requires_grad:
-            _accumulate(x, g * out * (1.0 - out))
+        _accumulate(x, g * out * (1.0 - out))
 
     return _node(out, (x,), backward)
 
@@ -463,8 +448,7 @@ def scale(x: Tensor, c: float) -> Tensor:
     out = x.data * c
 
     def backward(g):
-        if x.requires_grad:
-            _accumulate(x, g * c)
+        _accumulate(x, g * c)
 
     return _node(out, (x,), backward)
 
@@ -487,8 +471,7 @@ def concat_channels(parts) -> Tensor:
 
     def backward(g):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
-                _accumulate(p, g[:, lo:hi])
+            _accumulate(p, g[:, lo:hi])
 
     return _node(out, tuple(parts), backward)
 
@@ -500,8 +483,7 @@ def reshape(x: Tensor, new_shape) -> Tensor:
     out = x.data.reshape(new_shape)
 
     def backward(g):
-        if x.requires_grad:
-            _accumulate(x, g.reshape(x.shape))
+        _accumulate(x, g.reshape(x.shape))
 
     return _node(out, (x,), backward)
 
@@ -510,8 +492,7 @@ def sum_all(x: Tensor) -> Tensor:
     out = x.data.sum()
 
     def backward(g):
-        if x.requires_grad:
-            _accumulate(x, np.broadcast_to(g, x.shape))
+        _accumulate(x, np.broadcast_to(g, x.shape))
 
     return _node(out, (x,), backward)
 
@@ -521,8 +502,7 @@ def mean_all(x: Tensor) -> Tensor:
     out = x.data.mean()
 
     def backward(g):
-        if x.requires_grad:
-            _accumulate(x, np.broadcast_to(g / n, x.shape))
+        _accumulate(x, np.broadcast_to(g / n, x.shape))
 
     return _node(out, (x,), backward)
 
@@ -537,8 +517,7 @@ def bce_with_logits(logits: Tensor, target: Tensor) -> Tensor:
     n = z.size
 
     def backward(g):
-        if logits.requires_grad:
-            p = 0.5 * (1.0 + np.tanh(0.5 * z))
-            _accumulate(logits, (p - y) * (g / n))
+        p = 0.5 * (1.0 + np.tanh(0.5 * z))
+        _accumulate(logits, (p - y) * (g / n))
 
     return _node(np.asarray(out), (logits, target), backward)

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import stack_samples
-from .net import OmegaNet, all_finite, save_checkpoint
+from .data import all_finite, stack_samples
+from .net import OmegaNet, save_checkpoint
 from .tensor import no_grad, scale, sigmoid
 
 
@@ -209,7 +209,7 @@ def confusion_counts(prob, mask, threshold=0.5):
     mask = np.asarray(mask)
     if prob.shape != mask.shape:
         raise ValueError(f"shape mismatch: prob {prob.shape} vs mask {mask.shape}")
-    if prob.min() < 0.0 or prob.max() > 1.0:
+    if not (prob.min() >= 0.0 and prob.max() <= 1.0):  # NaN fails too
         raise ValueError("probabilities must lie in [0, 1]")
     if not np.isin(mask, (0.0, 1.0)).all():
         raise ValueError("mask must be binary")

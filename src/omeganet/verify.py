@@ -44,8 +44,8 @@ class CheckResult:
         return self.worst <= self.tol
 
 
-def _rand(rng, shape, requires_grad=False):
-    return Tensor(rng.normal(size=shape), dtype=np.float64, requires_grad=requires_grad)
+def _rand(rng, shape):
+    return Tensor(rng.normal(size=shape), dtype=np.float64, requires_grad=True)
 
 
 # ---------------------------------------------------------------------------
@@ -62,39 +62,39 @@ def grad_suite():
     rng = np.random.default_rng(42)
     results = []
 
-    x = _rand(rng, (2, 3, 5, 5), requires_grad=True)
-    w = _rand(rng, (4, 3, 3, 3), requires_grad=True)
-    b = _rand(rng, (4,), requires_grad=True)
+    x = _rand(rng, (2, 3, 5, 5))
+    w = _rand(rng, (4, 3, 3, 3))
+    b = _rand(rng, (4,))
     results.append(_grad_check(
         "conv2d", lambda: sum_all(conv2d(x, w, b)),
         [("x", x), ("w", w), ("b", b)], GRAD_TOL_BLOCK))
 
     # a 1x1 kernel's columns are a view of the input
     rng_k = np.random.default_rng(5)
-    xk = _rand(rng_k, (2, 3, 5, 5), requires_grad=True)
-    wk = _rand(rng_k, (4, 3, 1, 1), requires_grad=True)
-    bk = _rand(rng_k, (4,), requires_grad=True)
+    xk = _rand(rng_k, (2, 3, 5, 5))
+    wk = _rand(rng_k, (4, 3, 1, 1))
+    bk = _rand(rng_k, (4,))
     results.append(_grad_check(
         "conv2d_1x1", lambda: sum_all(conv2d(xk, wk, bk)),
         [("x", xk), ("w", wk), ("b", bk)], GRAD_TOL_BLOCK))
 
-    xt = _rand(rng, (2, 3, 4, 4), requires_grad=True)
-    wt = _rand(rng, (3, 2, 2, 2), requires_grad=True)
-    bt = _rand(rng, (2,), requires_grad=True)
+    xt = _rand(rng, (2, 3, 4, 4))
+    wt = _rand(rng, (3, 2, 2, 2))
+    bt = _rand(rng, (2,))
     results.append(_grad_check(
         "transposed_conv2d", lambda: sum_all(transposed_conv2d(xt, wt, bt)),
         [("x", xt), ("w", wt), ("b", bt)], GRAD_TOL_BLOCK))
 
-    xp = _rand(rng, (1, 2, 4, 4), requires_grad=True)
+    xp = _rand(rng, (1, 2, 4, 4))
     results.append(_grad_check(
         "maxpool2d", lambda: sum_all(maxpool2d(xp)), [("x", xp)], GRAD_TOL_BLOCK))
 
-    xa = _rand(rng, (1, 2, 3, 4), requires_grad=True)
+    xa = _rand(rng, (1, 2, 3, 4))
     results.append(_grad_check(
         "adaptive_avg_pool", lambda: sum_all(adaptive_avg_pool_to_k(xa, 5)),
         [("x", xa)], GRAD_TOL_BLOCK))
 
-    xs = _rand(rng, (4, 6), requires_grad=True)
+    xs = _rand(rng, (4, 6))
     # quadratic weighting makes the softmax gradient generic
     sw = Tensor(rng.normal(size=(4, 6)), dtype=np.float64)
     results.append(_grad_check(
@@ -102,24 +102,24 @@ def grad_suite():
         lambda: sum_all(matmul(softmax_rows(xs), transpose_last2(sw))),
         [("x", xs)], GRAD_TOL_BLOCK))
 
-    md = _rand(rng, (1, 3, 4, 4), requires_grad=True)
+    md = _rand(rng, (1, 3, 4, 4))
     pd = blocks.init_dspa(np.random.default_rng(3), 3, k=2, dtype=np.float64)
     results.append(_grad_check(
         "dspa", lambda: sum_all(blocks.dspa(md, pd)),
         [("m", md)] + list(blocks.named_parameters(pd, "p")), GRAD_TOL_BLOCK))
 
-    mc = _rand(rng, (1, 3, 3, 3), requires_grad=True)
+    mc = _rand(rng, (1, 3, 3, 3))
     results.append(_grad_check(
         "channel_attention", lambda: sum_all(blocks.channel_attention(mc)),
         [("m", mc)], GRAD_TOL_BLOCK))
 
-    mm = _rand(rng, (1, 3, 4, 4), requires_grad=True)
+    mm = _rand(rng, (1, 3, 4, 4))
     pm = blocks.init_msc(np.random.default_rng(4), 3, dtype=np.float64)
     results.append(_grad_check(
         "cascade_msc", lambda: sum_all(blocks.cascade_msc(mm, pm)),
         [("m", mm)] + list(blocks.named_parameters(pm, "p")), GRAD_TOL_BLOCK))
 
-    zl = _rand(rng, (2, 2, 3, 3), requires_grad=True)
+    zl = _rand(rng, (2, 2, 3, 3))
     yb = Tensor((rng.uniform(size=(2, 2, 3, 3)) > 0.5).astype(np.float64))
     results.append(_grad_check(
         "bce", lambda: bce_loss(zl, yb), [("logits", zl)], GRAD_TOL_BLOCK))

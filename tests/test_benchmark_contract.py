@@ -66,3 +66,26 @@ def test_worker_model_configs_build_and_round_trip(monkeypatch):
     for model in (worker.TOY_MODEL, worker.PAPER_MODEL):
         config = ModelConfig(**model)
         assert ModelConfig.from_dict(config.to_dict()) == config
+
+
+def test_traced_backward_gives_the_untraced_gradient_bytes():
+    # the tracer wraps every closure in one that discards its return value, so
+    # closures must keep accumulating their own gradients
+    probe = load_bench_module("tracer").Probe()
+
+    def gradients(traced):
+        rng = np.random.default_rng(0)
+        net = OmegaNet(verify.tiny_config(), seed=0, dtype=np.float64)
+        x = Tensor(rng.normal(size=(1, 1, 16, 16)), dtype=np.float64)
+        mask = Tensor((rng.uniform(size=(1, 2, 16, 16)) > 0.5).astype(np.float64))
+        probe.set_mode(True if traced else None)
+        try:
+            net.loss(net.forward(x), mask).backward()
+        finally:
+            probe.set_mode(None)
+        return {name: p.grad for name, p in net.named_parameters()}
+
+    untraced, traced = gradients(False), gradients(True)
+    assert traced.keys() == untraced.keys() and len(untraced) == 60
+    for name, grad in untraced.items():
+        assert grad is not None and traced[name].tobytes() == grad.tobytes(), name

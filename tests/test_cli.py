@@ -518,6 +518,42 @@ class TestNonFinitePayload:
         assert got == expected
 
 
+class TestNonFiniteImage:
+    """An image with a NaN or an infinity is bad input: exit 2 naming the file."""
+
+    @staticmethod
+    def poison(path, value, name="image", everywhere=False):
+        arr = read_otf(path)[name]
+        arr[(...) if everywhere else (0, 3, 5)] = value
+        write_otf(path, {name: arr})
+        return str(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_predict_exits_2(self, generated, capsys, value):
+        config, cfg, tmp_path = generated
+        save_checkpoint(OmegaNet(ModelConfig(**cfg["model"]), seed=0), tmp_path / "ckpt.otf")
+        image = self.poison(tmp_path / "data" / "train" / "0000.img.otf", value)
+        assert main(["predict", "--checkpoint", str(tmp_path / "ckpt.otf"),
+                     "--image", image, "--out", str(tmp_path / "p")]) == 2
+        assert f"tensor 'image' in {image} holds a non-finite value" in capsys.readouterr().err
+        assert not (tmp_path / "p").exists()
+
+    def test_eval_exits_2(self, generated, capsys):
+        config, cfg, tmp_path = generated
+        save_checkpoint(OmegaNet(ModelConfig(**cfg["model"]), seed=0), tmp_path / "ckpt.otf")
+        val = sorted((tmp_path / "data" / "val").glob("*.img.otf"))
+        image = self.poison(val[0], np.nan, everywhere=True)
+        assert main(["eval", "--config", str(config), "--split", "val"]) == 2
+        assert f"tensor 'image' in {image} holds a non-finite value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind,name", [("img", "image"), ("mask", "mask")])
+    def test_train_exits_2(self, generated, capsys, kind, name):
+        config, cfg, tmp_path = generated
+        path = self.poison(tmp_path / "data" / "train" / f"0003.{kind}.otf", np.nan, name)
+        assert main(["train", "--config", str(config)]) == 2
+        assert f"tensor {name!r} in {path} holds a non-finite value" in capsys.readouterr().err
+
+
 def test_legacy_decoder_channels_not_reversed_exits_4(generated, capsys):
     config, cfg, tmp_path = generated
     ckpt = tmp_path / "legacy.otf"

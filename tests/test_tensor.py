@@ -483,6 +483,61 @@ class TestBackward:
         np.testing.assert_array_equal(g, [1.5, -2.0, 0.25])
 
 
+    def test_backward_of_untracked_scalar_sets_no_gradient(self, rng):
+        x = t64(rng.normal(size=(3,)))
+        loss = sum_all(x)
+        loss.backward()
+        assert loss.grad is None and x.grad is None
+
+
+# (name, op, operand shapes) for every op of the tape
+GATED_OPS = [
+    ("conv2d", conv2d, [(1, 2, 5, 5), (3, 2, 3, 3), (3,)]),
+    ("transposed_conv2d", transposed_conv2d, [(1, 2, 3, 3), (2, 3, 2, 2), (3,)]),
+    ("maxpool2d", maxpool2d, [(1, 2, 4, 4)]),
+    ("adaptive_avg_pool_to_k", lambda x: adaptive_avg_pool_to_k(x, 3), [(1, 2, 2, 3)]),
+    ("matmul", matmul, [(2, 3, 4), (2, 4, 5)]),
+    ("transpose_last2", transpose_last2, [(3, 4)]),
+    ("softmax_rows", softmax_rows, [(3, 4)]),
+    ("add", add, [(2, 3), (2, 3)]),
+    ("relu", relu, [(2, 3)]),
+    ("sigmoid", sigmoid, [(2, 3)]),
+    ("scale", lambda x: scale(x, -1.75), [(2, 3)]),
+    ("concat_channels", lambda *parts: concat_channels(parts),
+     [(1, 2, 2, 2), (1, 1, 2, 2), (1, 3, 2, 2)]),
+    ("reshape", lambda x: reshape(x, (3, 2)), [(2, 3)]),
+    ("sum_all", sum_all, [(2, 3)]),
+    ("mean_all", mean_all, [(2, 3)]),
+    ("bce_with_logits", bce_with_logits, [(2, 3), (2, 3)]),
+]
+
+
+@pytest.mark.parametrize("op,shapes,untracked", [
+    pytest.param(op, shapes, i, id=f"{name}-{i}")
+    for name, op, shapes in GATED_OPS for i in range(len(shapes))])
+def test_untracked_operand_gets_no_gradient_and_changes_no_other(op, shapes, untracked):
+    """Each closure offers every operand its gradient and ``_accumulate`` drops
+    the untracked one's.  A one-operand op records no closure for an untracked
+    input, so its operand is untracked after the forward instead of before."""
+    def run(untracked):
+        rng = np.random.default_rng(8)
+        operands = [t64(rng.uniform(0.1, 0.9, size=s), requires_grad=True) for s in shapes]
+        unary = len(operands) == 1
+        if untracked is not None and not unary:
+            operands[untracked].requires_grad = False
+        out = op(*operands)
+        if untracked is not None and unary:
+            operands[untracked].requires_grad = False
+        (out if out.size == 1 else sum_all(scale(out, 1.5))).backward()
+        return [x.grad for x in operands]
+
+    everything, gated = run(None), run(untracked)
+    assert gated[untracked] is None
+    for i, (a, b) in enumerate(zip(everything, gated)):
+        if i != untracked:
+            assert (a is None and b is None) or a.tobytes() == b.tobytes(), i
+
+
 def replay_keeping_graph(loss):
     """Backward as it ran before the tape was consumed: the same traversal and
     accumulation order, but every node keeps its grad, closure and parents."""

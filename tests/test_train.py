@@ -275,6 +275,12 @@ class TestMetrics:
         with pytest.raises(ValueError, match="threshold"):
             compute_metrics(prob, mask, threshold=1.5)
 
+    def test_nan_probabilities_rejected(self):
+        # NaN compares false both ways, so it must not slip past the range check
+        mask = np.zeros((1, 2, 4, 4))
+        with pytest.raises(ValueError, match=r"probabilities must lie in \[0, 1\]"):
+            compute_metrics(np.full((1, 2, 4, 4), np.nan), mask)
+
     def test_matches_naive_counting(self, rng):
         for _ in range(20):
             prob = rng.uniform(size=(2, 2, 5, 5))
