@@ -78,10 +78,15 @@ def kaiming_conv(rng, in_channels, out_channels, kernel, *, dilation=1,
                  transposed=False, dtype=np.float32) -> ConvParams:
     """Kaiming-uniform fan-in weights (bound sqrt(6/fan_in)), zero bias.
 
-    The weight is filled ``KAIMING_CHUNK`` elements at a time with the
-    arithmetic of ``Generator.uniform`` (low + range * next_double), so it
-    holds the bits of ``reference.kaiming_conv_naive`` and leaves ``rng`` in
-    the same state.
+    The weight is a pending tensor: ``rng`` is advanced at once past the
+    doubles the weight needs, and the weight is drawn on its first read from
+    a generator set to where ``rng`` stood, so a weight that is replaced
+    first (a checkpoint restore) is never drawn.  It is filled
+    ``KAIMING_CHUNK`` elements at a time with the arithmetic of
+    ``Generator.uniform`` (low + range * next_double), so it holds the bits
+    of ``reference.kaiming_conv_naive`` and leaves ``rng`` in the same
+    state, whichever weight is read first.  ``rng``'s bit generator must
+    support ``advance`` (``default_rng``'s PCG64 does).
     """
     fan_in = in_channels * kernel * kernel
     bound = np.sqrt(6.0 / fan_in)
@@ -89,17 +94,28 @@ def kaiming_conv(rng, in_channels, out_channels, kernel, *, dilation=1,
         shape = (in_channels, out_channels, kernel, kernel)
     else:
         shape = (out_channels, in_channels, kernel, kernel)
-    weight = np.empty(shape, dtype=dtype)
-    flat = weight.reshape(-1)
-    scratch = np.empty(min(KAIMING_CHUNK, flat.size))
-    for lo in range(0, flat.size, KAIMING_CHUNK):
-        chunk = scratch[:min(KAIMING_CHUNK, flat.size - lo)]
-        rng.random(out=chunk)
-        chunk *= bound - (-bound)
-        chunk += -bound
-        flat[lo:lo + chunk.size] = chunk
+    bitgen = rng.bit_generator
+    start = bitgen.state
+    bitgen.advance(int(np.prod(shape)))
+    # advance drops the buffered half of a 64-bit draw that next_double never uses
+    bitgen.state = {**bitgen.state, "has_uint32": start["has_uint32"],
+                    "uinteger": start["uinteger"]}
+
+    def fill(weight):
+        replay = type(bitgen)()
+        replay.state = start
+        draw = np.random.Generator(replay)
+        flat = weight.reshape(-1)
+        scratch = np.empty(min(KAIMING_CHUNK, flat.size))
+        for lo in range(0, flat.size, KAIMING_CHUNK):
+            chunk = scratch[:min(KAIMING_CHUNK, flat.size - lo)]
+            draw.random(out=chunk)
+            chunk *= bound - (-bound)
+            chunk += -bound
+            flat[lo:lo + chunk.size] = chunk
+
     bias = Tensor(np.zeros(out_channels, dtype=dtype), requires_grad=True)
-    return ConvParams(Tensor(weight, requires_grad=True), bias,
+    return ConvParams(Tensor.pending(shape, dtype, fill), bias,
                       dilation=dilation, transposed=transposed)
 
 

@@ -18,9 +18,8 @@ import numpy as np
 from .data import (
     DiskDataset,
     SyntheticSpec,
-    read_otf,
     read_pgm,
-    require_finite,
+    read_tensor,
     write_dataset,
     write_mask_pgm,
     write_otf,
@@ -185,10 +184,7 @@ def _load_image(path) -> np.ndarray:
         raise ConfigError(f"image file {path} does not exist")
     if path.suffix == ".pgm":
         return (read_pgm(path).astype(np.float32) / 255.0)[None]
-    tensors = read_otf(path)
-    if "image" not in tensors:
-        raise CheckpointError(f"{path} holds no tensor named 'image'")
-    return require_finite(tensors["image"], "image", path)
+    return read_tensor(path, "image")
 
 
 def cmd_predict(args) -> int:

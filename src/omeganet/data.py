@@ -251,11 +251,15 @@ def all_finite(arr: np.ndarray) -> bool:
                     or (np.isfinite(arr.min()) and np.isfinite(arr.max())))
 
 
-def require_finite(arr: np.ndarray, name: str, path) -> np.ndarray:
-    """``arr``, tensor ``name`` read from ``path``; a NaN or an infinity in it is a ValueError."""
-    if not all_finite(arr):
+def read_tensor(path, name: str) -> np.ndarray:
+    """Tensor ``name`` of the OTF file ``path``, an input image or mask; a
+    file without it, or a NaN or an infinity in it, is a ValueError."""
+    tensors = read_otf(path)
+    if name not in tensors:
+        raise ValueError(f"{path} holds no tensor named {name!r}")
+    if not all_finite(tensors[name]):
         raise ValueError(f"tensor {name!r} in {path} holds a non-finite value")
-    return arr
+    return tensors[name]
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +367,5 @@ class DiskDataset:
 
     def __getitem__(self, i) -> Sample:
         stem = self.dir / self.stems[i]
-        img, msk = f"{stem}.img.otf", f"{stem}.mask.otf"
-        return Sample(require_finite(read_otf(img)["image"], "image", img),
-                      require_finite(read_otf(msk)["mask"], "mask", msk))
+        return Sample(read_tensor(f"{stem}.img.otf", "image"),
+                      read_tensor(f"{stem}.mask.otf", "mask"))

@@ -10,6 +10,12 @@ Backward consumes the graph: once a node's closure has run, the node drops
 its gradient, closure and parents, so each intermediate output is freed as
 soon as its last consumer is done.
 
+A tensor may be built with a pending fill (``Tensor.pending``): its shape and
+dtype are known but it holds no memory until the first read of ``data``,
+which allocates the array, runs the fill once and drops it.  ``shape``,
+``ndim``, ``size`` and ``dtype`` never run it, and assigning ``data``
+discards it, so a weight that is replaced before it is read is never filled.
+
 Ops preserve the dtype of their inputs.  Networks run in float32; the
 gradient-check suites build float64 tensors and exercise the identical code
 paths.  Convolutions go through im2col + GEMM; the naive loop versions live
@@ -53,38 +59,64 @@ class Tensor:
     """A numpy array plus the bookkeeping needed for reverse-mode autodiff.
 
     Attributes:
-        data: the underlying ndarray (float32 or float64).
+        data: the underlying ndarray (float32 or float64); a pending fill runs
+            on its first read.
         requires_grad: whether gradients should be accumulated into ``grad``.
         grad: ndarray of the same shape as ``data``, populated by ``backward``.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "__weakref__")
+    __slots__ = ("_data", "_fill", "requires_grad", "grad", "_parents", "_backward_fn",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
         if not np.issubdtype(arr.dtype, np.floating):
             arr = arr.astype(np.float32)
-        self.data = arr
+        self._data = arr
+        self._fill = None
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._parents = ()
         self._backward_fn = None
 
+    @classmethod
+    def pending(cls, shape, dtype, fill):
+        """A tracked tensor (a parameter) whose array is allocated and passed
+        to ``fill`` on the first read of ``data``; until then it holds a
+        zero-stride placeholder that only answers ``shape``, ``ndim``,
+        ``size`` and ``dtype``."""
+        t = cls(np.broadcast_to(np.zeros((), dtype=dtype), shape), requires_grad=True)
+        t._fill = fill
+        return t
+
+    @property
+    def data(self):
+        if self._fill is not None:
+            arr = np.empty(self._data.shape, dtype=self._data.dtype)
+            self._fill(arr)
+            self.data = arr
+        return self._data
+
+    @data.setter
+    def data(self, arr):
+        self._data = arr
+        self._fill = None
+
     @property
     def shape(self):
-        return self.data.shape
+        return self._data.shape
 
     @property
     def ndim(self):
-        return self.data.ndim
+        return self._data.ndim
 
     @property
     def dtype(self):
-        return self.data.dtype
+        return self._data.dtype
 
     @property
     def size(self):
-        return self.data.size
+        return self._data.size
 
     def item(self):
         return float(self.data)
@@ -97,9 +129,10 @@ class Tensor:
 
         Gradients add across fan-out and across repeated ``backward`` calls
         (leaves are not zeroed here); the gradient of a tracked loss w.r.t.
-        itself is 1, and an untracked one keeps ``grad`` None.  The graph is consumed as it goes: after a non-leaf node's
-        closure has run, its ``grad``, closure and parents are dropped, so
-        only leaf gradients survive and the graph cannot be replayed.
+        itself is 1, and an untracked one keeps ``grad`` None.  The graph is
+        consumed as it goes: after a non-leaf node's closure has run, its
+        ``grad``, closure and parents are dropped, so only leaf gradients
+        survive and the graph cannot be replayed.
         """
         if self.data.size != 1:
             raise ShapeError(
@@ -142,7 +175,7 @@ class Tensor:
 
     def __repr__(self):
         return (
-            f"Tensor(shape={tuple(self.data.shape)}, dtype={self.data.dtype},"
+            f"Tensor(shape={tuple(self.shape)}, dtype={self.dtype},"
             f" requires_grad={self.requires_grad})"
         )
 

@@ -298,21 +298,27 @@ INIT_SIZES = (1, blocks.KAIMING_CHUNK - 1, blocks.KAIMING_CHUNK, blocks.KAIMING_
 
 
 def init_mismatches(dtype, transposed) -> int:
-    """Weight elements whose bits differ between the chunked
-    ``blocks.kaiming_conv`` and ``reference.kaiming_conv_naive``, plus one per
-    size after which the two generators' states differ.
+    """Weight elements whose bits differ between the deferred
+    ``blocks.kaiming_conv`` and ``reference.kaiming_conv_naive``, plus one if
+    the two generators' states differ once every weight is built.
 
     One weight per size in ``INIT_SIZES``, straddling the chunk edges, each
-    a 1x1 conv with that many input channels.
+    a 1x1 conv with that many input channels.  Both generators first make a
+    32-bit draw, so each holds the unused half of a 64-bit output that the
+    build must keep.  All weights are built before any is read, and they are
+    read in reverse, against references drawn in construction order.
     """
     fast, slow = np.random.default_rng(13), np.random.default_rng(13)
+    fast.integers(2)
+    slow.integers(2)
     bits = np.uint32 if np.dtype(dtype).itemsize == 4 else np.uint64
-    mismatches = 0
-    for n in INIT_SIZES:
-        got = blocks.kaiming_conv(fast, n, 1, 1, transposed=transposed, dtype=dtype).weight.data
-        ref = reference.kaiming_conv_naive(slow, n, 1, 1, transposed=transposed, dtype=dtype)
-        mismatches += int(np.count_nonzero(got.view(bits) != ref.view(bits)))
-        mismatches += int(fast.bit_generator.state != slow.bit_generator.state)
+    built = [blocks.kaiming_conv(fast, n, 1, 1, transposed=transposed, dtype=dtype).weight
+             for n in INIT_SIZES]
+    refs = [reference.kaiming_conv_naive(slow, n, 1, 1, transposed=transposed, dtype=dtype)
+            for n in INIT_SIZES]
+    mismatches = int(fast.bit_generator.state != slow.bit_generator.state)
+    for got, ref in reversed(list(zip(built, refs))):
+        mismatches += int(np.count_nonzero(got.data.view(bits) != ref.view(bits)))
     return mismatches
 
 

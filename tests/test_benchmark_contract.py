@@ -6,7 +6,8 @@ built, so renaming one would fail every benchmark run.  This runs one traced
 forward and backward of the smallest full network and checks that the spans
 the per-layer metrics read are recorded and that the originals come back.
 ``omegabench/worker.py`` builds its model configs by keyword, so they are
-built and round-tripped here too.
+built and round-tripped here too, and its ``paper_infer`` set-up is replayed
+to check that a net restored from a checkpoint draws no Kaiming weight.
 """
 import importlib.util
 import sys
@@ -15,7 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from omeganet import verify
-from omeganet.net import ModelConfig, OmegaNet
+from omeganet.net import (
+    ModelConfig, OmegaNet, load_checkpoint, restore_parameters, save_checkpoint,
+)
 from omeganet.tensor import Tensor
 
 BENCH = Path(__file__).resolve().parent.parent / "omegabench"
@@ -89,3 +92,27 @@ def test_traced_backward_gives_the_untraced_gradient_bytes():
     assert traced.keys() == untraced.keys() and len(untraced) == 60
     for name, grad in untraced.items():
         assert grad is not None and traced[name].tobytes() == grad.tobytes(), name
+
+
+class NoDraw(np.random.Generator):
+    """A generator that fails any test drawing from it."""
+
+    def random(self, *args, **kwargs):
+        raise AssertionError("a Kaiming weight was drawn")
+
+    uniform = random
+
+
+def test_restored_net_draws_no_weight(tmp_path, monkeypatch):
+    # the paper_infer set-up: load_checkpoint, OmegaNet(config, seed=0),
+    # restore_parameters; every weight it would draw is discarded
+    save_checkpoint(OmegaNet(verify.tiny_config(), seed=3), tmp_path / "ckpt.otf")
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: NoDraw(np.random.PCG64(seed)))
+    monkeypatch.setattr(np.random, "Generator", NoDraw)
+    config, entries = load_checkpoint(tmp_path / "ckpt.otf")
+    model = OmegaNet(config, seed=0)
+    restore_parameters(model, entries)
+    params = model.named_parameters()
+    assert len(params) == 60
+    for name, p in params:
+        assert p.data is entries[name], name

@@ -554,6 +554,40 @@ class TestNonFiniteImage:
         assert f"tensor {name!r} in {path} holds a non-finite value" in capsys.readouterr().err
 
 
+class TestMisnamedTensor:
+    """An image or mask file without its expected tensor is bad input: exit 2
+    naming the file and the tensor."""
+
+    @staticmethod
+    def rename(path, name, new_name):
+        write_otf(path, {new_name: read_otf(path)[name]})
+        return str(path)
+
+    def test_predict_exits_2(self, generated, capsys):
+        config, cfg, tmp_path = generated
+        save_checkpoint(OmegaNet(ModelConfig(**cfg["model"]), seed=0), tmp_path / "ckpt.otf")
+        image = self.rename(tmp_path / "data" / "train" / "0000.img.otf", "image", "img")
+        assert main(["predict", "--checkpoint", str(tmp_path / "ckpt.otf"),
+                     "--image", image, "--out", str(tmp_path / "p")]) == 2
+        assert f"{image} holds no tensor named 'image'" in capsys.readouterr().err
+        assert not (tmp_path / "p").exists()
+
+    def test_eval_exits_2(self, generated, capsys):
+        config, cfg, tmp_path = generated
+        save_checkpoint(OmegaNet(ModelConfig(**cfg["model"]), seed=0), tmp_path / "ckpt.otf")
+        val = sorted((tmp_path / "data" / "val").glob("*.img.otf"))
+        image = self.rename(val[0], "image", "img")
+        assert main(["eval", "--config", str(config), "--split", "val"]) == 2
+        assert f"{image} holds no tensor named 'image'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind,name", [("img", "image"), ("mask", "mask")])
+    def test_train_exits_2(self, generated, capsys, kind, name):
+        config, cfg, tmp_path = generated
+        path = self.rename(tmp_path / "data" / "train" / f"0000.{kind}.otf", name, "x")
+        assert main(["train", "--config", str(config)]) == 2
+        assert f"{path} holds no tensor named {name!r}" in capsys.readouterr().err
+
+
 def test_legacy_decoder_channels_not_reversed_exits_4(generated, capsys):
     config, cfg, tmp_path = generated
     ckpt = tmp_path / "legacy.otf"

@@ -337,6 +337,15 @@ class TestCheckpoint:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "34244eee1f88be2990ce74173f349f1613e99d4955613b8cda2f94004438a5af")
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_weights_do_not_depend_on_read_order(self, dtype):
+        # each weight is drawn on its first read from its own generator position
+        forward = OmegaNet(verify.tiny_config(), seed=0, dtype=dtype).named_parameters()
+        backward = OmegaNet(verify.tiny_config(), seed=0, dtype=dtype).named_parameters()
+        later = {name: p.data.tobytes() for name, p in reversed(backward)}
+        for name, p in forward:
+            assert p.data.tobytes() == later[name], name
+
     def test_shape_mismatch_names_tensor(self, tmp_path):
         net = OmegaNet(toy_config(), seed=0)
         path = tmp_path / "net.otf"

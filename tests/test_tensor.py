@@ -658,3 +658,36 @@ class TestBceWithLogits:
         y = (rng.uniform(size=z.shape) > 0.3).astype(np.float64)
         got = bce_with_logits(t64(z), t64(y)).item()
         assert abs(got - reference.bce_naive(z, y)) < 1e-9
+
+
+class TestPendingFill:
+    @staticmethod
+    def pending(calls):
+        def fill(arr):
+            calls.append(arr.shape)
+            arr[...] = np.arange(arr.size).reshape(arr.shape)
+        return Tensor.pending((2, 3), np.float32, fill)
+
+    def test_metadata_leaves_fill_pending(self):
+        calls = []
+        t = self.pending(calls)
+        assert (t.shape, t.ndim, t.size, t.dtype) == ((2, 3), 2, 6, np.float32)
+        assert repr(t) == "Tensor(shape=(2, 3), dtype=float32, requires_grad=True)"
+        assert calls == []
+
+    def test_first_read_fills_once(self):
+        calls = []
+        t = self.pending(calls)
+        first = t.data
+        np.testing.assert_array_equal(first, np.arange(6, dtype=np.float32).reshape(2, 3))
+        assert first.flags.writeable and first.flags.c_contiguous
+        assert t.data is first
+        assert calls == [(2, 3)]
+
+    def test_assigning_data_discards_fill(self):
+        calls = []
+        t = self.pending(calls)
+        replacement = np.ones((2, 3), dtype=np.float32)
+        t.data = replacement
+        assert t.data is replacement
+        assert calls == []
