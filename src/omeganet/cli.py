@@ -2,8 +2,9 @@
 
 Commands are driven by a JSON run configuration with four sections (model,
 train, data, paths); unknown keys are rejected before any work starts.
-Exit codes are a stable contract: 0 ok, 2 configuration error, 3 training
-divergence, 4 checkpoint or shape error.
+Exit codes are a stable contract: 0 ok, 2 configuration, input or
+file-system error (any ValueError or OSError that is not a checkpoint or
+shape error), 3 training divergence, 4 checkpoint or shape error.
 """
 from __future__ import annotations
 
@@ -54,10 +55,6 @@ EXIT_DIVERGENCE = 3
 EXIT_CHECKPOINT = 4
 
 
-class ConfigError(ValueError):
-    """Invalid or missing run configuration."""
-
-
 @dataclass
 class RunConfig:
     model: ModelConfig
@@ -70,41 +67,39 @@ class RunConfig:
 
 _SECTIONS = {"model", "train", "data", "paths"}
 _PATH_KEYS = {"data_dir", "checkpoint", "metrics_csv"}
+CHANNEL_NAMES = ("organ", "tumor")  # the synthetic masks' two channels
 
 
 def load_run_config(path) -> RunConfig:
     path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file {path} does not exist")
     try:
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as e:
-        raise ConfigError(f"config file {path} is not valid JSON: {e}") from e
+        raise ValueError(f"config file {path} is not valid JSON: {e}") from e
     if not isinstance(raw, dict) or set(raw) != _SECTIONS:
-        raise ConfigError(f"config file {path} must hold a JSON object with exactly the"
-                          f" sections {sorted(_SECTIONS)}")
+        raise ValueError(f"config file {path} must hold a JSON object with exactly the"
+                         f" sections {sorted(_SECTIONS)}")
 
     model = ModelConfig.from_dict(raw["model"])
+    if model.out_channels != len(CHANNEL_NAMES):
+        raise ValueError(f"'model.out_channels' must be {len(CHANNEL_NAMES)}, one per mask"
+                         f" channel {CHANNEL_NAMES}, got {model.out_channels}")
     loop, rates = read_config(TrainLoopConfig, "train", raw["train"],
                               lr="float", weight_decay="float")
     lr = float(rates.get("lr", AdamState.lr))
     weight_decay = float(rates.get("weight_decay", AdamState.weight_decay))
     if lr <= 0 or weight_decay < 0:
-        raise ConfigError("lr must be > 0 and weight_decay >= 0")
+        raise ValueError("lr must be > 0 and weight_decay >= 0")
     spec, _ = read_config(SyntheticSpec, "data", raw["data"])
 
     paths = raw["paths"]
     if not (isinstance(paths, dict) and set(paths) == _PATH_KEYS
             and all(isinstance(v, str) and v for v in paths.values())):
-        raise ConfigError(f"the 'paths' section must set exactly {sorted(_PATH_KEYS)},"
-                          " each to a non-empty string")
+        raise ValueError(f"the 'paths' section must set exactly {sorted(_PATH_KEYS)},"
+                         " each to a non-empty string")
 
     return RunConfig(model=model, train=loop, lr=lr, weight_decay=weight_decay,
                      data=spec, paths=paths)
-
-
-def channel_names(n: int):
-    return ["organ", "tumor"] if n == 2 else [f"channel_{i}" for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -114,10 +109,7 @@ def channel_names(n: int):
 def cmd_gen_data(args) -> int:
     cfg = load_run_config(args.config)
     out = Path(args.out) if args.out else Path(cfg.paths["data_dir"])
-    try:
-        manifest = write_dataset(cfg.data, out, force=args.force)
-    except FileExistsError as e:
-        raise ConfigError(str(e)) from e
+    manifest = write_dataset(cfg.data, out, force=args.force)
     print(f"wrote {cfg.data.n_samples} samples to {out}: "
           + ", ".join(f"{k}={v}" for k, v in manifest["splits"].items()))
     return EXIT_OK
@@ -156,7 +148,7 @@ def cmd_train(args) -> int:
         report = evaluate(net, val, threshold=cfg.train.threshold,
                           micro_batch_size=cfg.train.micro_batch_size)
         print("validation metrics:")
-        print(format_metrics(report, channel_names(net.config.out_channels)))
+        print(format_metrics(report, CHANNEL_NAMES))
     return EXIT_OK
 
 
@@ -166,22 +158,19 @@ def cmd_eval(args) -> int:
     net, _ = build_from_checkpoint(checkpoint, expected=cfg.model)
     dataset = DiskDataset(cfg.paths["data_dir"], args.split)
     if len(dataset) == 0:
-        raise ConfigError(f"split '{args.split}' in {cfg.paths['data_dir']} is empty")
+        raise ValueError(f"split '{args.split}' in {cfg.paths['data_dir']} is empty")
     report = evaluate(net, dataset, threshold=cfg.train.threshold,
                       micro_batch_size=cfg.train.micro_batch_size)
-    names = channel_names(net.config.out_channels)
     print(f"{args.split} split ({len(dataset)} samples):")
-    print(format_metrics(report, names))
+    print(format_metrics(report, CHANNEL_NAMES))
     out_csv = args.out or cfg.paths["metrics_csv"]
     Path(out_csv).parent.mkdir(parents=True, exist_ok=True)
-    write_metrics_csv(out_csv, report, names)
+    write_metrics_csv(out_csv, report, CHANNEL_NAMES)
     return EXIT_OK
 
 
 def _load_image(path) -> np.ndarray:
     path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"image file {path} does not exist")
     if path.suffix == ".pgm":
         return (read_pgm(path).astype(np.float32) / 255.0)[None]
     return read_tensor(path, "image")
@@ -193,10 +182,10 @@ def cmd_predict(args) -> int:
     with no_grad():  # the net rejects any image but a (1, H, W) one of its size
         out = net.forward(Tensor(image[None].astype(np.float32)))
         prob = sigmoid(out.main_logits).data[0]
+    mask = binarize(prob, args.threshold).astype(np.float32)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_otf(out_dir / "prob.otf", {"prob": prob.astype(np.float32)})
-    mask = binarize(prob, args.threshold).astype(np.float32)
     write_mask_pgm(out_dir / "mask.pgm", mask)
     print(f"wrote {out_dir / 'prob.otf'} and {out_dir / 'mask.pgm'}")
     return EXIT_OK
@@ -259,7 +248,7 @@ def main(argv=None) -> int:
     except (CheckpointError, ShapeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CHECKPOINT
-    except (ValueError, FileNotFoundError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except DivergenceError as e:

@@ -347,12 +347,23 @@ def _entry_json(arr):
     return json.loads(bytes(codes).decode("utf-8"))
 
 
+def _fsync(path) -> None:
+    """Flush a file's or a directory's data to the disk."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def save_checkpoint(net: OmegaNet, path, extra=None) -> None:
     """Write the config header plus every parameter (and optional trainer
     state arrays) into one OTF container.
 
     The container is written to ``<path>.tmp`` and then renamed over
     ``path``, so ``path`` always holds either the old or the new checkpoint.
+    The file is fsynced before the rename, and its directory after it, so
+    the bytes reach the disk before the name points at them.
     """
     entries = [(CONFIG_ENTRY, _json_entry(net.config.to_dict()))]
     for name, p in net.named_parameters():
@@ -362,7 +373,9 @@ def save_checkpoint(net: OmegaNet, path, extra=None) -> None:
     tmp = f"{path}.tmp"
     try:
         write_otf(tmp, entries)
+        _fsync(tmp)
         os.replace(tmp, path)
+        _fsync(os.path.dirname(os.path.abspath(path)))
     except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)

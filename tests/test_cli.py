@@ -1,5 +1,9 @@
 """End-to-end command-line behavior: exit codes, files, determinism."""
 import json
+import os
+import signal
+import subprocess
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -121,6 +125,13 @@ class TestConfigValidation:
         config.write_text(json.dumps(raw))
         assert main(["gen-data", "--config", str(config)]) == 2
         assert "'train' section" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["gen-data", "train", "eval"])
+    def test_out_channels_other_than_mask_channels_exit_2(self, tmp_path, capsys, command):
+        config, _ = make_config(tmp_path, **{"model.out_channels": 3})
+        assert main([command, "--config", str(config)]) == 2
+        assert "'model.out_channels'" in capsys.readouterr().err
+        assert not (tmp_path / "data").exists()
 
     @pytest.mark.parametrize("channels", [[0, 0, 0], [-1, -2, -4]])
     def test_channels_below_one_exit_2_naming_key(self, tmp_path, capsys, channels):
@@ -255,6 +266,120 @@ class TestTrain:
         assert [row.split(",")[0] for row in lines[1:]] == ["1", "2", "3", "4"]
 
 
+# Runs a command, stopping at each kill point: the child names the point on
+# its stdout and waits for one byte on its stdin before it goes on.  The
+# points are every training step; in each checkpoint write, inside
+# `write_otf` before its second, middle and last tensors, and after it
+# returns; and the history CSV write.  The command's own output goes to stderr.
+KILL_POINTS_CHILD = r"""
+import os, sys
+from omeganet import cli, net, train
+
+points = os.fdopen(os.dup(1), "w")
+sys.stdout = sys.stderr
+
+
+def stop(point):
+    points.write(point + "\n")
+    points.flush()
+    sys.stdin.buffer.read(1)
+
+
+class Gate:
+    # write_otf reaches a tensor's array only after writing every tensor before it
+    def __init__(self, name, arr):
+        self.name, self.arr = name, arr
+
+    def __array__(self, dtype=None, copy=None):
+        stop(f"write_otf before {self.name}")
+        return self.arr
+
+
+def gated_write_otf(path, entries, write_otf=net.write_otf):
+    last = len(entries) - 1
+    write_otf(path, [(name, Gate(name, arr) if i in (1, last // 2, last) else arr)
+                     for i, (name, arr) in enumerate(entries)])
+    stop("write_otf returned")
+
+
+def gated(point, fn):
+    def wrapper(*args, **kwargs):
+        stop(point)
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+net.write_otf = gated_write_otf
+train.accumulate_gradients = gated("step", train.accumulate_gradients)
+cli.write_history_csv = gated("history csv", cli.write_history_csv)
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def run_to_kill_point(argv, log, kill_at=None):
+    """Run `omeganet <argv>` in a child, letting it past every kill point, or
+    SIGKILLing it at point number ``kill_at``; returns (points reached, exit)."""
+    src = str(Path(cli_module.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    with open(log, "wb") as stderr:
+        child = subprocess.Popen([sys.executable, "-c", KILL_POINTS_CHILD, *argv], env=env,
+                                 stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=stderr)
+    reached = []
+    try:
+        for line in child.stdout:
+            reached.append(line.decode().rstrip("\n"))
+            if len(reached) == kill_at:
+                child.send_signal(signal.SIGKILL)
+                break
+            child.stdin.write(b"g")
+            child.stdin.flush()
+        return reached, child.wait(timeout=60)
+    finally:
+        if child.poll() is None:
+            child.kill()
+            child.wait()
+        child.stdin.close()
+        child.stdout.close()
+
+
+def test_kill_anywhere_keeps_a_loadable_checkpoint_and_resume_replays_the_run(generated):
+    """SIGKILL `train` at every kill point: the checkpoint is then absent or
+    loads, a leftover `.tmp` is harmless, and resuming (or restarting, when no
+    checkpoint exists) ends on the uninterrupted run's bytes and rows."""
+    config, cfg, tmp_path = generated
+    raw = json.loads(config.read_text())
+    raw["train"]["eval_interval"] = 1  # a checkpoint at each of the 4 steps
+    config.write_text(json.dumps(raw))
+    ckpt, csv = Path(cfg["paths"]["checkpoint"]), Path(cfg["paths"]["metrics_csv"])
+    tmp, log = Path(f"{ckpt}.tmp"), tmp_path / "child.err"
+    argv = ["train", "--config", str(config)]
+
+    points, code = run_to_kill_point(argv, log)
+    assert code == 0, log.read_text()
+    straight_ckpt, straight = ckpt.read_bytes(), csv.read_text().splitlines()
+    assert len(straight) == 1 + 4 and len(points) >= 20, points
+
+    left_tmp = 0
+    for k, point in enumerate(points, 1):
+        for path in (ckpt, csv, tmp):
+            path.unlink(missing_ok=True)
+        reached, code = run_to_kill_point(argv, log, kill_at=k)
+        assert (reached[-1], code) == (point, -signal.SIGKILL), (k, reached, log.read_text())
+        left_tmp += tmp.exists()
+        resume, step = [], 0
+        if ckpt.exists():
+            assert main(["eval", "--config", str(config), "--checkpoint", str(ckpt),
+                         "--out", str(tmp_path / "e.csv")]) == 0, (k, point)
+            resume, step = ["--resume", str(ckpt)], int(read_otf(ckpt)["adam.t"][0])
+        assert main(argv + resume) == 0, (k, point)
+        assert ckpt.read_bytes() == straight_ckpt, (k, point)
+        assert csv.read_text().splitlines()[1:] == straight[1 + step:], (k, point)
+        assert not tmp.exists(), (k, point)
+    # exactly the kills inside a checkpoint write leave a `.tmp` behind
+    assert left_tmp == sum(point.startswith("write_otf") for point in points) == 4 * 4
+
+
 class TestEval:
     def test_eval_twice_identical_csv(self, generated):
         config, cfg, tmp_path = generated
@@ -373,6 +498,16 @@ class TestPredict:
         expect[tumor] = 255
         np.testing.assert_array_equal(levels, expect)
 
+    def test_bad_threshold_exits_2_before_writing(self, generated, capsys):
+        config, cfg, tmp_path = generated
+        ckpt = cfg["paths"]["checkpoint"]
+        save_checkpoint(OmegaNet(ModelConfig(**cfg["model"]), seed=0), ckpt)
+        image = str(tmp_path / "data" / "train" / "0000.img.otf")
+        assert main(["predict", "--checkpoint", ckpt, "--image", image,
+                     "--out", str(tmp_path / "p"), "--threshold", "1.5"]) == 2
+        assert "threshold" in capsys.readouterr().err
+        assert not (tmp_path / "p").exists()
+
     def test_truncated_checkpoint_exits_4(self, generated, capsys):
         config, cfg, tmp_path = generated
         ckpt = truncated_checkpoint(cfg, tmp_path)
@@ -419,6 +554,36 @@ def test_corrupt_checkpoint_exits_0_or_4(generated, capsys):
                       "--split", "val", "--out", str(tmp_path / "e.csv")]),
             )
         assert all(code in allowed for code in codes), (len(data), codes, capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv, tweak, culprit, reason", [
+    ("gen-data --config {config} --out {file}", None, "{file}", "Not a directory"),
+    ("train --config {config}", ("paths.metrics_csv", "{file}/m.csv"), "{file}", "File exists"),
+    ("eval --config {config} --out {file}/e.csv", None, "{file}", "File exists"),
+    ("predict --checkpoint {ckpt} --image {image} --out {file}/p", None, "{file}",
+     "Not a directory"),
+    ("train --config {config}", ("paths.checkpoint", "{dir}"), "{dir}", "Is a directory"),
+    ("eval --config {config} --checkpoint {dir}", None, "{dir}", "Is a directory"),
+    ("predict --checkpoint {ckpt} --image {dir} --out {tmp}/p", None, "{dir}",
+     "Is a directory"),
+], ids=["gen-data_out_file", "train_csv_under_file", "eval_out_under_file",
+        "predict_out_under_file", "train_checkpoint_dir", "eval_checkpoint_dir",
+        "predict_image_dir"])
+def test_file_system_error_exits_2_naming_path(generated, capsys, argv, tweak, culprit, reason):
+    config, cfg, tmp_path = generated
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir").mkdir()
+    save_checkpoint(OmegaNet(ModelConfig(**cfg["model"]), seed=0), cfg["paths"]["checkpoint"])
+    names = {"config": config, "file": tmp_path / "file", "dir": tmp_path / "dir",
+             "ckpt": cfg["paths"]["checkpoint"], "tmp": tmp_path,
+             "image": tmp_path / "data" / "train" / "0000.img.otf"}
+    if tweak:
+        make_config(tmp_path, **{tweak[0]: tweak[1].format(**names)})
+    assert main([word.format(**names) for word in argv.split()]) == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "Traceback" not in err, err
+    assert reason in errors[0] and culprit.format(**names) in errors[0], err
 
 
 def loading_commands(config, tmp_path, ckpt):

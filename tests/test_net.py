@@ -1,6 +1,7 @@
 """Network assembly: shape pipeline, losses, dual-supervision wiring, checkpoints."""
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
@@ -416,6 +417,34 @@ class TestCheckpoint:
             save_checkpoint(OmegaNet(toy_config(), seed=1), path)
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["net.otf"]
+
+    def test_save_fsyncs_file_before_rename_and_directory_after(self, tmp_path, monkeypatch):
+        path, events = tmp_path / "net.otf", []
+        write, fsync, replace = net_module.write_otf, os.fsync, os.replace
+
+        def inode(st):
+            return st.st_dev, st.st_ino
+
+        def logged_write(target, entries):
+            write(target, entries)
+            events.append(("write", inode(os.stat(target))))
+
+        def logged_fsync(fd):
+            events.append(("fsync", inode(os.fstat(fd))))
+            fsync(fd)
+
+        def logged_replace(src, dst):
+            events.append(("replace", str(src), str(dst)))
+            replace(src, dst)
+
+        monkeypatch.setattr(net_module, "write_otf", logged_write)
+        monkeypatch.setattr(os, "fsync", logged_fsync)
+        monkeypatch.setattr(os, "replace", logged_replace)
+        save_checkpoint(OmegaNet(toy_config(), seed=0), path)
+        file = inode(os.stat(path))  # the rename keeps the inode
+        assert events == [("write", file), ("fsync", file),
+                          ("replace", f"{path}.tmp", str(path)),
+                          ("fsync", inode(os.stat(tmp_path)))]
 
     def test_every_bit_flip_of_config_entry_loads_or_raises_checkpoint_error(
             self, tmp_path, monkeypatch):
