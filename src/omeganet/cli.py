@@ -31,20 +31,17 @@ from .net import (
     OmegaNet,
     build_from_checkpoint,
     read_config,
-    save_checkpoint,
 )
 from .tensor import ShapeError, Tensor, no_grad, sigmoid
 from .train import (
     AdamState,
     DivergenceError,
     TrainLoopConfig,
-    adam_state_arrays,
     adam_state_from_arrays,
     binarize,
     evaluate,
     format_metrics,
     train,
-    write_history_csv,
     write_metrics_csv,
 )
 from . import verify
@@ -97,6 +94,10 @@ def load_run_config(path) -> RunConfig:
             and all(isinstance(v, str) and v for v in paths.values())):
         raise ValueError(f"the 'paths' section must set exactly {sorted(_PATH_KEYS)},"
                          " each to a non-empty string")
+    resolved = sorted((Path(v).resolve(), k) for k, v in paths.items())
+    for (a, key_a), (b, key_b) in zip(resolved, resolved[1:]):
+        if a == b:  # one file written as two would destroy the other
+            raise ValueError(f"'paths.{key_a}' and 'paths.{key_b}' both name {a}")
 
     return RunConfig(model=model, train=loop, lr=lr, weight_decay=weight_decay,
                      data=spec, paths=paths)
@@ -125,21 +126,11 @@ def cmd_train(args) -> int:
         net = OmegaNet(cfg.model, seed=cfg.train.seed)
         adam = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
 
-    checkpoint_path = cfg.paths["checkpoint"]
-    Path(checkpoint_path).parent.mkdir(parents=True, exist_ok=True)
-    Path(cfg.paths["metrics_csv"]).parent.mkdir(parents=True, exist_ok=True)
-    try:
-        history = train(net, dataset, cfg.train, adam=adam,
-                        checkpoint_path=checkpoint_path)
-    except DivergenceError as e:
-        write_history_csv(cfg.paths["metrics_csv"], e.history, net.config.out_channels)
-        print(f"training diverged: {e}", file=sys.stderr)
-        return EXIT_DIVERGENCE
-
-    if not history:  # train() saves at its last step, so only when no step ran
-        save_checkpoint(net, checkpoint_path, extra=adam_state_arrays(adam))
-    write_history_csv(cfg.paths["metrics_csv"], history, net.config.out_channels)
-    print(f"trained {len(history)} steps; checkpoint {checkpoint_path}")
+    for key in ("checkpoint", "metrics_csv"):
+        Path(cfg.paths[key]).parent.mkdir(parents=True, exist_ok=True)
+    history = train(net, dataset, cfg.train, adam=adam, checkpoint_path=cfg.paths["checkpoint"],
+                    history_csv=cfg.paths["metrics_csv"])
+    print(f"trained {len(history)} steps; checkpoint {cfg.paths['checkpoint']}")
     try:
         val = DiskDataset(cfg.paths["data_dir"], "val")
     except FileNotFoundError:
@@ -154,8 +145,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = load_run_config(args.config)
-    checkpoint = args.checkpoint or cfg.paths["checkpoint"]
-    net, _ = build_from_checkpoint(checkpoint, expected=cfg.model)
+    net, _ = build_from_checkpoint(args.checkpoint or cfg.paths["checkpoint"], expected=cfg.model)
     dataset = DiskDataset(cfg.paths["data_dir"], args.split)
     if len(dataset) == 0:
         raise ValueError(f"split '{args.split}' in {cfg.paths['data_dir']} is empty")
@@ -163,7 +153,7 @@ def cmd_eval(args) -> int:
                       micro_batch_size=cfg.train.micro_batch_size)
     print(f"{args.split} split ({len(dataset)} samples):")
     print(format_metrics(report, CHANNEL_NAMES))
-    out_csv = args.out or cfg.paths["metrics_csv"]
+    out_csv = args.out or Path(cfg.paths["metrics_csv"]).with_suffix(f".{args.split}.csv")
     Path(out_csv).parent.mkdir(parents=True, exist_ok=True)
     write_metrics_csv(out_csv, report, CHANNEL_NAMES)
     return EXIT_OK
@@ -223,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--checkpoint", help="checkpoint path (default: paths.checkpoint)")
     p.add_argument("--split", choices=("train", "val", "test"), default="val")
-    p.add_argument("--out", help="metrics CSV path (default: paths.metrics_csv)")
+    p.add_argument("--out", help="metrics CSV path (default: paths.metrics_csv as <stem>.<split>.csv)")
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("predict", help="segment one image with a checkpoint")
@@ -252,7 +242,7 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except DivergenceError as e:
-        print(f"error: {e}", file=sys.stderr)
+        print(f"error: training diverged: {e}", file=sys.stderr)
         return EXIT_DIVERGENCE
 
 

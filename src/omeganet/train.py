@@ -9,6 +9,7 @@ which makes checkpoint resume deterministic.
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,11 +20,7 @@ from .tensor import no_grad, scale, sigmoid
 
 
 class DivergenceError(RuntimeError):
-    """A loss or gradient went non-finite; carries the history so far."""
-
-    def __init__(self, message, history=None):
-        super().__init__(message)
-        self.history = history or []
+    """A loss or gradient went non-finite."""
 
 
 # ---------------------------------------------------------------------------
@@ -314,15 +311,17 @@ def _epoch_order(seed: int, epoch: int, indices) -> list:
 
 
 def train(net: OmegaNet, dataset, cfg: TrainLoopConfig, adam: AdamState | None = None,
-          indices=None, checkpoint_path=None) -> list:
+          indices=None, checkpoint_path=None, history_csv=None) -> list:
     """Run the loop; returns the history of (step, loss, metrics at eval points).
 
     Deterministic given the seed: per-epoch sample order is a pure function of
     (seed, epoch), and the optimizer step count selects the position inside the
     epoch, so a run resumed from a checkpoint replays the uninterrupted
-    schedule.  Checkpoints are written every ``eval_interval`` steps; on
-    divergence the last written checkpoint is left in place and a
-    DivergenceError carrying the partial history is raised.
+    schedule.  A checkpoint is saved every ``eval_interval`` steps and at the
+    last step, or once if no step runs.  ``history_csv`` gets the header and
+    the rows <= adam.t of a history already there, then each step's row as the
+    step ends, before its checkpoint.  On divergence both files are left as
+    they are and a DivergenceError is raised.
     """
     cfg.validate()
     adam = adam if adam is not None else AdamState()
@@ -338,8 +337,11 @@ def train(net: OmegaNet, dataset, cfg: TrainLoopConfig, adam: AdamState | None =
         )
     total_steps = cfg.epochs * steps_per_epoch
     params = net.named_parameters()
+    n_channels = net.config.out_channels
     history = []
 
+    if history_csv is not None:
+        _start_history(history_csv, adam.t, n_channels)
     for step in range(adam.t, total_steps):
         epoch, pos = divmod(step, steps_per_epoch)
         order = _epoch_order(cfg.seed, epoch, idx)
@@ -348,40 +350,50 @@ def train(net: OmegaNet, dataset, cfg: TrainLoopConfig, adam: AdamState | None =
         for g in range(cfg.accumulation_steps):
             part = chunk[g * cfg.micro_batch_size:(g + 1) * cfg.micro_batch_size]
             micro_batches.append(stack_samples([dataset[i] for i in part], dtype=net.dtype))
-        try:
-            grads, loss = accumulate_gradients(net, micro_batches)
-            if not np.isfinite(loss):
-                raise DivergenceError(f"non-finite loss at step {step + 1}")
-            adam_step(params, grads, adam)
-        except DivergenceError as e:
-            e.history = history
-            raise
+        grads, loss = accumulate_gradients(net, micro_batches)
+        if not np.isfinite(loss):
+            raise DivergenceError(f"non-finite loss at step {step + 1}")
+        adam_step(params, grads, adam)
         entry = HistoryEntry(step=adam.t, loss=loss)
-        if adam.t % cfg.eval_interval == 0 or adam.t == total_steps:
+        at_eval = adam.t % cfg.eval_interval == 0 or adam.t == total_steps
+        if at_eval:
             entry.metrics = evaluate(net, dataset, idx, threshold=cfg.threshold,
                                      micro_batch_size=cfg.micro_batch_size)
-            if checkpoint_path is not None:
-                save_checkpoint(net, checkpoint_path, extra=adam_state_arrays(adam))
         history.append(entry)
+        if history_csv is not None:
+            write_history_row(history_csv, entry, n_channels)
+        if at_eval and checkpoint_path is not None:
+            save_checkpoint(net, checkpoint_path, extra=adam_state_arrays(adam))
+    if not history and checkpoint_path is not None:
+        save_checkpoint(net, checkpoint_path, extra=adam_state_arrays(adam))
     return history
 
 
-def write_history_csv(path, history, n_channels: int) -> None:
-    """step, loss, then per-channel dsc/ppv/sens (blank outside eval points)."""
-    header = ["step", "loss"]
-    for c in range(n_channels):
-        header += [f"dsc_{c}", f"ppv_{c}", f"sens_{c}"]
+def _start_history(path, t: int, n_channels: int) -> None:
+    """Write the history CSV's header, then, if t > 0, the rows with step <= t
+    of a history already at ``path`` (none if its first line is not the header)."""
+    header = ["step", "loss"] + [f"{m}_{c}" for c in range(n_channels)
+                                 for m in ("dsc", "ppv", "sens")]
+    kept = []
+    if t > 0 and os.path.isfile(path):
+        with open(path, newline="", errors="replace") as f:
+            if f.readline().rstrip("\r\n") == ",".join(header):
+                kept = [r for r in csv.reader(f) if r and r[0].isdigit() and int(r[0]) <= t]
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        for entry in history:
-            row = [entry.step, f"{entry.loss:.9g}"]
-            if entry.metrics is not None:
-                for c in entry.metrics.channels:
-                    row += [f"{c.dsc:.6f}", f"{c.ppv:.6f}", f"{c.sensitivity:.6f}"]
-            else:
-                row += [""] * (3 * n_channels)
-            writer.writerow(row)
+        csv.writer(f).writerows([header] + kept)
+
+
+def write_history_row(path, entry: HistoryEntry, n_channels: int) -> None:
+    """Append step, loss, then per-channel dsc/ppv/sens (blank outside eval
+    points) to the history CSV, closing the file so the row reaches the OS."""
+    row = [entry.step, f"{entry.loss:.9g}"]
+    if entry.metrics is not None:
+        for c in entry.metrics.channels:
+            row += [f"{c.dsc:.6f}", f"{c.ppv:.6f}", f"{c.sensitivity:.6f}"]
+    else:
+        row += [""] * (3 * n_channels)
+    with open(path, "a", newline="") as f:
+        csv.writer(f).writerow(row)
 
 
 def write_metrics_csv(path, report: MetricsReport, names) -> None:

@@ -133,6 +133,20 @@ class TestConfigValidation:
         assert "'model.out_channels'" in capsys.readouterr().err
         assert not (tmp_path / "data").exists()
 
+    @pytest.mark.parametrize("key, other", [("metrics_csv", "checkpoint"),
+                                            ("checkpoint", "data_dir"),
+                                            ("data_dir", "metrics_csv")])
+    def test_paths_naming_one_file_exit_2_naming_both(self, generated, capsys, key, other):
+        config, cfg, tmp_path = generated
+        before = tree_bytes(tmp_path)
+        same = Path(cfg["paths"][other])  # the other key's file, spelled another way
+        make_config(tmp_path, **{f"paths.{key}": str(same.parent / "sub" / ".." / same.name)})
+        assert main(["train", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert f"'paths.{key}'" in err and f"'paths.{other}'" in err, err
+        del before["run.json"]  # rewritten with the clashing paths
+        assert {k: v for k, v in tree_bytes(tmp_path).items() if k != "run.json"} == before
+
     @pytest.mark.parametrize("channels", [[0, 0, 0], [-1, -2, -4]])
     def test_channels_below_one_exit_2_naming_key(self, tmp_path, capsys, channels):
         config, _ = make_config(tmp_path, **{"model.encoder_channels": channels})
@@ -179,7 +193,6 @@ class TestTrain:
             save(net, path, extra=extra)
 
         monkeypatch.setattr(train_module, "save_checkpoint", counting_save)
-        monkeypatch.setattr(cli_module, "save_checkpoint", counting_save)
         assert main(["train", "--config", str(config)]) == 0
         assert steps == [2, 4]
 
@@ -191,6 +204,18 @@ class TestTrain:
         lines = (tmp_path / "metrics.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 4  # 2 epochs x 2 steps
 
+    def test_divergence_exits_3_with_one_error_line_and_rows_before_it(self, generated,
+                                                                        capsys):
+        config, cfg, tmp_path = generated
+        make_config(tmp_path, **{"train.lr": 1e30})  # step 1 is finite, step 2's loss is not
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["train", "--config", str(config)]) == 3
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "training diverged" in errors[0], err
+        lines = (tmp_path / "metrics.csv").read_text().splitlines()
+        assert lines[0].startswith("step,loss,") and [r.split(",")[0] for r in lines[1:]] == ["1"]
+
     def test_absurd_lr_diverges_with_exit_3(self, generated):
         config, cfg, tmp_path = generated
         raw = json.loads(config.read_text())
@@ -201,7 +226,9 @@ class TestTrain:
 
     def test_resume_matches_straight_run(self, generated, monkeypatch):
         # resuming from every eval point, mid-epoch ones included, ends on the
-        # straight run's checkpoint bytes and replays its remaining rows
+        # straight run's checkpoint bytes; into the straight run's full CSV it
+        # ends on that CSV's bytes, and into no CSV it writes the header and
+        # the rows after the resumed step
         config, cfg, tmp_path = generated
         raw = json.loads(config.read_text())
         raw["train"]["eval_interval"] = 1  # 2 steps per epoch: steps 1 and 3 are mid-epoch
@@ -217,17 +244,26 @@ class TestTrain:
         assert main(["train", "--config", str(config)]) == 0
         monkeypatch.undo()
         straight_ckpt = (tmp_path / "ckpt.otf").read_bytes()
-        straight = (tmp_path / "metrics.csv").read_text().strip().splitlines()
+        straight_csv = (tmp_path / "metrics.csv").read_bytes()
+        straight = straight_csv.decode().strip().splitlines()
         assert len(copies) == len(straight) - 1 == 4
 
+        resumed_csv = tmp_path / "resumed.csv"
         raw["paths"]["checkpoint"] = str(tmp_path / "resumed.otf")
-        raw["paths"]["metrics_csv"] = str(tmp_path / "resumed.csv")
+        raw["paths"]["metrics_csv"] = str(resumed_csv)
         config.write_text(json.dumps(raw))
         for step, copy in enumerate(copies, 1):
-            assert main(["train", "--config", str(config), "--resume", str(copy)]) == 0
-            resumed = (tmp_path / "resumed.csv").read_text().strip().splitlines()
-            assert (tmp_path / "resumed.otf").read_bytes() == straight_ckpt, step
-            assert resumed[1:] == straight[1 + step:], step
+            for full in (True, False):
+                resumed_csv.unlink(missing_ok=True)
+                if full:
+                    resumed_csv.write_bytes(straight_csv)
+                assert main(["train", "--config", str(config), "--resume", str(copy)]) == 0
+                assert (tmp_path / "resumed.otf").read_bytes() == straight_ckpt, step
+                if full:
+                    assert resumed_csv.read_bytes() == straight_csv, step
+                else:
+                    resumed = resumed_csv.read_text().strip().splitlines()
+                    assert resumed == straight[:1] + straight[1 + step:], step
 
     def test_resume_with_other_model_config_exits_4(self, generated, capsys):
         config, cfg, tmp_path = generated
@@ -270,7 +306,7 @@ class TestTrain:
 # its stdout and waits for one byte on its stdin before it goes on.  The
 # points are every training step; in each checkpoint write, inside
 # `write_otf` before its second, middle and last tensors, and after it
-# returns; and the history CSV write.  The command's own output goes to stderr.
+# returns; and each step's history CSV row.  The command's own output goes to stderr.
 KILL_POINTS_CHILD = r"""
 import os, sys
 from omeganet import cli, net, train
@@ -311,7 +347,7 @@ def gated(point, fn):
 
 net.write_otf = gated_write_otf
 train.accumulate_gradients = gated("step", train.accumulate_gradients)
-cli.write_history_csv = gated("history csv", cli.write_history_csv)
+train.write_history_row = gated("history row", train.write_history_row)
 sys.exit(cli.main(sys.argv[1:]))
 """
 
@@ -346,7 +382,7 @@ def run_to_kill_point(argv, log, kill_at=None):
 def test_kill_anywhere_keeps_a_loadable_checkpoint_and_resume_replays_the_run(generated):
     """SIGKILL `train` at every kill point: the checkpoint is then absent or
     loads, a leftover `.tmp` is harmless, and resuming (or restarting, when no
-    checkpoint exists) ends on the uninterrupted run's bytes and rows."""
+    checkpoint exists) ends on the uninterrupted run's checkpoint and CSV bytes."""
     config, cfg, tmp_path = generated
     raw = json.loads(config.read_text())
     raw["train"]["eval_interval"] = 1  # a checkpoint at each of the 4 steps
@@ -357,8 +393,8 @@ def test_kill_anywhere_keeps_a_loadable_checkpoint_and_resume_replays_the_run(ge
 
     points, code = run_to_kill_point(argv, log)
     assert code == 0, log.read_text()
-    straight_ckpt, straight = ckpt.read_bytes(), csv.read_text().splitlines()
-    assert len(straight) == 1 + 4 and len(points) >= 20, points
+    straight_ckpt, straight_csv = ckpt.read_bytes(), csv.read_bytes()
+    assert len(straight_csv.splitlines()) == 1 + 4 and len(points) >= 20, points
 
     left_tmp = 0
     for k, point in enumerate(points, 1):
@@ -367,14 +403,14 @@ def test_kill_anywhere_keeps_a_loadable_checkpoint_and_resume_replays_the_run(ge
         reached, code = run_to_kill_point(argv, log, kill_at=k)
         assert (reached[-1], code) == (point, -signal.SIGKILL), (k, reached, log.read_text())
         left_tmp += tmp.exists()
-        resume, step = [], 0
+        resume = []
         if ckpt.exists():
             assert main(["eval", "--config", str(config), "--checkpoint", str(ckpt),
                          "--out", str(tmp_path / "e.csv")]) == 0, (k, point)
-            resume, step = ["--resume", str(ckpt)], int(read_otf(ckpt)["adam.t"][0])
+            resume = ["--resume", str(ckpt)]
         assert main(argv + resume) == 0, (k, point)
         assert ckpt.read_bytes() == straight_ckpt, (k, point)
-        assert csv.read_text().splitlines()[1:] == straight[1 + step:], (k, point)
+        assert csv.read_bytes() == straight_csv, (k, point)
         assert not tmp.exists(), (k, point)
     # exactly the kills inside a checkpoint write leave a `.tmp` behind
     assert left_tmp == sum(point.startswith("write_otf") for point in points) == 4 * 4
@@ -397,10 +433,18 @@ class TestEval:
         config.write_text(json.dumps(raw))
         assert main(["train", "--config", str(config)]) == 0
         assert main(["eval", "--config", str(config), "--split", "val"]) == 0
-        rows = (tmp_path / "metrics.csv").read_text().strip().splitlines()[1:]
+        rows = (tmp_path / "metrics.val.csv").read_text().strip().splitlines()[1:]
         for row in rows:
             dsc = float(row.split(",")[1])
             assert 0.0 <= dsc <= 1.0
+
+    def test_default_out_lands_beside_the_history_and_keeps_it(self, generated):
+        config, cfg, tmp_path = generated
+        assert main(["train", "--config", str(config)]) == 0
+        history = (tmp_path / "metrics.csv").read_bytes()
+        assert main(["eval", "--config", str(config), "--split", "test"]) == 0
+        assert (tmp_path / "metrics.csv").read_bytes() == history
+        assert (tmp_path / "metrics.test.csv").read_text().startswith("channel,dsc,")
 
     def test_mismatched_checkpoint_exits_4_naming_tensor(self, generated, capsys):
         config, cfg, tmp_path = generated

@@ -23,7 +23,6 @@ from omeganet.train import (
     evaluate,
     metrics_from_counts,
     train,
-    write_history_csv,
 )
 
 
@@ -388,10 +387,12 @@ class TestTrainLoop:
             return grads, loss
 
         monkeypatch.setattr(train_module, "accumulate_gradients", poisoned)
-        with pytest.raises(DivergenceError, match="msc.2.conv1.weight") as exc:
-            train(net, ds, cfg, adam=adam, checkpoint_path=ckpt)
+        with pytest.raises(DivergenceError, match="msc.2.conv1.weight"):
+            train(net, ds, cfg, adam=adam, checkpoint_path=ckpt,
+                  history_csv=tmp_path / "history.csv")
         assert adam.t == k - 1
-        assert [e.step for e in exc.value.history] == [1, 2, 3, 4]
+        rows = (tmp_path / "history.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["1", "2", "3", "4"]
         for name, p in net.named_parameters():
             assert p.data.tobytes() == before["params"][name].tobytes(), name
         for moments, saved in ((adam.m, before["m"]), (adam.v, before["v"])):
@@ -432,12 +433,47 @@ class TestTrainLoop:
     def test_history_csv_round_trip(self, tmp_path):
         cfg = TrainLoopConfig(epochs=2, micro_batch_size=2, accumulation_steps=2,
                               eval_interval=2, seed=0)
-        history = train(toy_net(), toy_dataset(8), cfg, adam=AdamState(lr=1e-3))
         path = tmp_path / "hist.csv"
-        write_history_csv(path, history, 2)
+        history = train(toy_net(), toy_dataset(8), cfg, adam=AdamState(lr=1e-3),
+                        history_csv=path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "step,loss,dsc_0,ppv_0,sens_0,dsc_1,ppv_1,sens_1"
         assert len(lines) == 1 + len(history)
         # eval rows carry metrics, the others leave them blank
         assert lines[1].endswith(",,,,,")
         assert not lines[2].endswith(",,,,,")
+
+    def test_no_history_csv_writes_no_file(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = TrainLoopConfig(epochs=1, micro_batch_size=2, accumulation_steps=2,
+                              eval_interval=1, seed=0)
+        train(toy_net(), toy_dataset(8), cfg, adam=AdamState(lr=1e-3),
+              checkpoint_path=tmp_path / "ck.otf")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.otf"]
+
+    @pytest.mark.parametrize("before", ["full", "none", "foreign"])
+    def test_resume_keeps_history_rows_up_to_its_step(self, tmp_path, before):
+        # a resume at step 2 keeps rows 1-2 of a history already at the path
+        # and appends rows 3-4; a file with another header keeps nothing
+        cfg = TrainLoopConfig(epochs=2, micro_batch_size=2, accumulation_steps=2,
+                              eval_interval=1, seed=3)
+        straight_csv = tmp_path / "straight.csv"
+        train(toy_net(seed=4), toy_dataset(8), cfg, adam=AdamState(lr=1e-3),
+              history_csv=straight_csv)
+        straight = straight_csv.read_bytes()
+        half_net, adam = toy_net(seed=4), AdamState(lr=1e-3)
+        train(half_net, toy_dataset(8), TrainLoopConfig(**{**vars(cfg), "epochs": 1}),
+              adam=adam)
+        assert adam.t == 2
+
+        path = tmp_path / "resumed.csv"
+        if before == "full":
+            path.write_bytes(straight)
+        elif before == "foreign":  # rows 1 and 2 under the eval table's header
+            path.write_bytes(b"channel,dsc,ppv,sensitivity,tp,fp,fn,tn\r\n"
+                             b"1,0.5,0.5,0.5,1,1,1,1\r\n2,0.5,0.5,0.5,1,1,1,1\r\n")
+        train(half_net, toy_dataset(8), cfg, adam=adam, history_csv=path)
+        lines = straight.splitlines(keepends=True)
+        assert len(lines) == 1 + 4
+        expected = straight if before == "full" else b"".join(lines[:1] + lines[3:])
+        assert path.read_bytes() == expected
