@@ -69,8 +69,8 @@ def named_parameters(tree, prefix=""):
         yield from named_parameters(child, f"{prefix}.{key}" if prefix else str(key))
 
 
-# Kaiming init draws weights through a float64 scratch buffer of this many
-# elements (256 KiB), so no whole-weight float64 temporary is made.
+# Kaiming init draws weights in float64 chunks of this many elements
+# (256 KiB), so no whole-weight float64 temporary is made.
 KAIMING_CHUNK = 32768
 
 
@@ -81,11 +81,10 @@ def kaiming_conv(rng, in_channels, out_channels, kernel, *, dilation=1,
     The weight is a pending tensor: ``rng`` is advanced at once past the
     doubles the weight needs, and the weight is drawn on its first read from
     a generator set to where ``rng`` stood, so a weight that is replaced
-    first (a checkpoint restore) is never drawn.  It is filled
-    ``KAIMING_CHUNK`` elements at a time with the arithmetic of
-    ``Generator.uniform`` (low + range * next_double), so it holds the bits
-    of ``reference.kaiming_conv_naive`` and leaves ``rng`` in the same
-    state, whichever weight is read first.  ``rng``'s bit generator must
+    first (a checkpoint restore) is never drawn.  It is filled by
+    ``Generator.uniform`` ``KAIMING_CHUNK`` elements at a time, so it holds
+    the bits of ``reference.kaiming_conv_naive`` and leaves ``rng`` in the
+    same state, whichever weight is read first.  ``rng``'s bit generator must
     support ``advance`` (``default_rng``'s PCG64 does).
     """
     fan_in = in_channels * kernel * kernel
@@ -106,13 +105,9 @@ def kaiming_conv(rng, in_channels, out_channels, kernel, *, dilation=1,
         replay.state = start
         draw = np.random.Generator(replay)
         flat = weight.reshape(-1)
-        scratch = np.empty(min(KAIMING_CHUNK, flat.size))
         for lo in range(0, flat.size, KAIMING_CHUNK):
-            chunk = scratch[:min(KAIMING_CHUNK, flat.size - lo)]
-            draw.random(out=chunk)
-            chunk *= bound - (-bound)
-            chunk += -bound
-            flat[lo:lo + chunk.size] = chunk
+            hi = min(lo + KAIMING_CHUNK, flat.size)
+            flat[lo:hi] = draw.uniform(-bound, bound, hi - lo)
 
     bias = Tensor(np.zeros(out_channels, dtype=dtype), requires_grad=True)
     return ConvParams(Tensor.pending(shape, dtype, fill), bias,

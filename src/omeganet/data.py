@@ -133,19 +133,6 @@ def split_ranges(n_samples: int) -> dict:
     }
 
 
-class SyntheticDataset:
-    """Index-addressable view over the spec's generated samples."""
-
-    def __init__(self, spec: SyntheticSpec):
-        self.spec = spec
-
-    def __len__(self):
-        return self.spec.n_samples
-
-    def __getitem__(self, i) -> Sample:
-        return generate(self.spec, i)
-
-
 def stack_samples(samples, dtype=np.float32):
     """Batch a list of samples into (images (B,1,H,W), masks (B,2,H,W)) tensors."""
     images = np.stack([s.image for s in samples]).astype(dtype)

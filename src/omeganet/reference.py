@@ -208,17 +208,14 @@ def adam_step_naive(params, grads, state) -> None:
     m, v exponential moments with bias correction;
     param <- param - lr * m_hat / (sqrt(v_hat) + eps).
     """
-    for name, p in params:
-        g = grads.get(name)
-        if g is not None and not np.isfinite(g).all():
+    for name, _ in params:
+        if not np.isfinite(grads[name]).all():
             raise DivergenceError(f"non-finite gradient for parameter {name!r}")
     state.t += 1
     bc1 = 1.0 - BETA1 ** state.t
     bc2 = 1.0 - BETA2 ** state.t
     for name, p in params:
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(p.data)
+        g = grads[name]
         if g.shape != p.data.shape:
             raise ValueError(
                 f"gradient shape {g.shape} does not match parameter {name!r} {p.data.shape}"

@@ -9,13 +9,14 @@ which makes checkpoint resume deterministic.
 from __future__ import annotations
 
 import csv
+import errno
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import all_finite, stack_samples
-from .net import OmegaNet, save_checkpoint
+from .net import OmegaNet, _fsync, save_checkpoint
 from .tensor import no_grad, scale, sigmoid
 
 
@@ -56,16 +57,15 @@ def adam_step(params, grads, state: AdamState) -> None:
     time, with the ufunc sequence of ``reference.adam_step_naive``, so the
     result is bit-identical to the whole-array formula.  A ``p.data`` that is
     not C-contiguous or not writeable is first replaced by an owned copy.
-    A non-finite or misshapen gradient rejects the whole step before any
-    parameter is touched.
+    A missing, misshapen or non-finite gradient rejects the whole step before
+    any parameter is touched.
     """
     for name, p in params:
         g = grads.get(name)
-        if g is None:
-            continue
-        if g.shape != p.data.shape:
+        shape = getattr(g, "shape", None)  # None for a missing gradient
+        if shape != p.data.shape:
             raise ValueError(
-                f"gradient shape {g.shape} does not match parameter {name!r} {p.data.shape}"
+                f"gradient shape {shape} does not match parameter {name!r} {p.data.shape}"
             )
         if not all_finite(g):
             raise DivergenceError(f"non-finite gradient for parameter {name!r}")
@@ -83,18 +83,12 @@ def adam_step(params, grads, state: AdamState) -> None:
         m, v = state.m[name], state.v[name]
         if scratch is None or scratch.dtype != p.data.dtype:
             scratch = np.empty((2, ADAM_CHUNK), dtype=p.data.dtype)
-        g = grads.get(name)
-        flat_g = None if g is None else g.reshape(-1)
+        flat_g = grads[name].reshape(-1)
         flat_p, flat_m, flat_v = p.data.reshape(-1), m.reshape(-1), v.reshape(-1)
         for lo in range(0, flat_p.size, ADAM_CHUNK):
             hi = min(lo + ADAM_CHUNK, flat_p.size)
-            pc, mc, vc = flat_p[lo:hi], flat_m[lo:hi], flat_v[lo:hi]
+            pc, mc, vc, gc = flat_p[lo:hi], flat_m[lo:hi], flat_v[lo:hi], flat_g[lo:hi]
             a, b = scratch[0, :hi - lo], scratch[1, :hi - lo]
-            if flat_g is None:
-                a.fill(0)
-                gc = a
-            else:
-                gc = flat_g[lo:hi]
             if wd:
                 np.multiply(wd, pc, out=b)
                 gc = np.add(gc, b, out=a)
@@ -162,10 +156,7 @@ def accumulate_gradients(net: OmegaNet, micro_batches):
         loss = net.loss(out, mask)
         losses.append(loss.item())
         scale(loss, 1.0 / g).backward()
-    grads = {}
-    for name, p in net.named_parameters():
-        grads[name] = p.grad if p.grad is not None else np.zeros_like(p.data)
-    return grads, float(np.mean(losses))
+    return {name: p.grad for name, p in net.named_parameters()}, float(np.mean(losses))
 
 
 # ---------------------------------------------------------------------------
@@ -251,15 +242,15 @@ def compute_metrics(prob, mask, threshold: float = 0.5) -> MetricsReport:
     return metrics_from_counts(*confusion_counts(prob, mask, threshold))
 
 
-def evaluate(net: OmegaNet, dataset, indices=None, threshold: float = 0.5,
+def evaluate(net: OmegaNet, dataset, threshold: float = 0.5,
              micro_batch_size: int = 8) -> MetricsReport:
-    """Main-head metrics over a dataset slice, accumulated in micro-batches."""
-    idx = list(indices) if indices is not None else list(range(len(dataset)))
+    """Main-head metrics over a sequence of samples, accumulated in micro-batches."""
+    idx = range(len(dataset))
     if not idx:
-        raise ValueError("cannot evaluate an empty index set")
+        raise ValueError("cannot evaluate an empty dataset")
     totals = None
     with no_grad():
-        for lo in range(0, len(idx), micro_batch_size):
+        for lo in idx[::micro_batch_size]:
             chunk = [dataset[i] for i in idx[lo:lo + micro_batch_size]]
             images, mask = stack_samples(chunk, dtype=net.dtype)
             prob = sigmoid(net.forward(images).main_logits)
@@ -311,37 +302,43 @@ def _epoch_order(seed: int, epoch: int, indices) -> list:
 
 
 def train(net: OmegaNet, dataset, cfg: TrainLoopConfig, adam: AdamState | None = None,
-          indices=None, checkpoint_path=None, history_csv=None) -> list:
+          checkpoint_path=None, history_csv=None) -> list:
     """Run the loop; returns the history of (step, loss, metrics at eval points).
 
     Deterministic given the seed: per-epoch sample order is a pure function of
     (seed, epoch), and the optimizer step count selects the position inside the
     epoch, so a run resumed from a checkpoint replays the uninterrupted
     schedule.  A checkpoint is saved every ``eval_interval`` steps and at the
-    last step, or once if no step runs.  ``history_csv`` gets the header and
-    the rows <= adam.t of a history already there, then each step's row as the
-    step ends, before its checkpoint.  On divergence both files are left as
-    they are and a DivergenceError is raised.
+    last step, or once if no step runs; a ``checkpoint_path`` that is a
+    directory is rejected first.  ``history_csv`` gets the header and the
+    rows <= adam.t of a history already there, then each step's row as the
+    step ends, fsynced before the step's checkpoint.  On divergence both
+    files are left as they are and a DivergenceError is raised.
     """
     cfg.validate()
+    if checkpoint_path is not None and os.path.isdir(checkpoint_path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(checkpoint_path))
     adam = adam if adam is not None else AdamState()
-    idx = list(indices) if indices is not None else list(range(len(dataset)))
-    if not idx:
-        raise ValueError("training dataset is empty")
+    idx = list(range(len(dataset)))
     per_step = cfg.micro_batch_size * cfg.accumulation_steps
     steps_per_epoch = len(idx) // per_step
-    if steps_per_epoch < 1:
-        raise ValueError(
-            f"dataset slice of {len(idx)} samples is smaller than one effective"
-            f" batch of {per_step}"
-        )
+    if steps_per_epoch < 1:  # an empty dataset too
+        raise ValueError(f"dataset of {len(idx)} samples is smaller than one effective"
+                         f" batch of {per_step}")
     total_steps = cfg.epochs * steps_per_epoch
     params = net.named_parameters()
     n_channels = net.config.out_channels
     history = []
 
+    def checkpoint():
+        if checkpoint_path is not None:
+            if history_csv is not None:
+                _fsync(history_csv)
+            save_checkpoint(net, checkpoint_path, extra=adam_state_arrays(adam))
+
     if history_csv is not None:
         _start_history(history_csv, adam.t, n_channels)
+        _fsync(os.path.dirname(os.path.abspath(history_csv)))
     for step in range(adam.t, total_steps):
         epoch, pos = divmod(step, steps_per_epoch)
         order = _epoch_order(cfg.seed, epoch, idx)
@@ -357,15 +354,15 @@ def train(net: OmegaNet, dataset, cfg: TrainLoopConfig, adam: AdamState | None =
         entry = HistoryEntry(step=adam.t, loss=loss)
         at_eval = adam.t % cfg.eval_interval == 0 or adam.t == total_steps
         if at_eval:
-            entry.metrics = evaluate(net, dataset, idx, threshold=cfg.threshold,
+            entry.metrics = evaluate(net, dataset, threshold=cfg.threshold,
                                      micro_batch_size=cfg.micro_batch_size)
         history.append(entry)
         if history_csv is not None:
             write_history_row(history_csv, entry, n_channels)
-        if at_eval and checkpoint_path is not None:
-            save_checkpoint(net, checkpoint_path, extra=adam_state_arrays(adam))
-    if not history and checkpoint_path is not None:
-        save_checkpoint(net, checkpoint_path, extra=adam_state_arrays(adam))
+        if at_eval:
+            checkpoint()
+    if not history:
+        checkpoint()
     return history
 
 

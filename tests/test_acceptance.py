@@ -12,7 +12,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from omeganet import blocks, verify
-from omeganet.data import SyntheticDataset, SyntheticSpec
+from omeganet.data import SyntheticSpec, generate
 from omeganet.net import ModelConfig, OmegaNet, dual_loss
 from omeganet.tensor import Tensor, no_grad, softmax_rows
 from omeganet.train import AdamState, TrainLoopConfig, accumulate_gradients, evaluate, train
@@ -141,7 +141,8 @@ def test_criterion_5_dual_supervision_wiring():
 
 def test_criterion_6_accumulation_equals_big_batch():
     net = OmegaNet(verify.tiny_config(), seed=3, dtype=np.float64)
-    ds = SyntheticDataset(SyntheticSpec(image_size=16, n_samples=4, seed=6))
+    spec = SyntheticSpec(image_size=16, n_samples=4, seed=6)
+    ds = [generate(spec, i) for i in range(4)]
     from omeganet.data import stack_samples
     micro = [stack_samples([ds[0], ds[1]], dtype=np.float64),
              stack_samples([ds[2], ds[3]], dtype=np.float64)]
@@ -162,7 +163,7 @@ OVERFIT_NET_SEED = 2
 def test_criterion_7_overfit_experiment():
     spec = SyntheticSpec(image_size=64, n_samples=8, noise_sigma=0.05,
                          seed=OVERFIT_DATA_SEED)
-    ds = SyntheticDataset(spec)
+    ds = [generate(spec, i) for i in range(spec.n_samples)]
     cfg = ModelConfig(depth=3, encoder_channels=[8, 16, 32], out_channels=2, k=10,
                       lambda_s=10.0, lambda_a=1.0, input_size=64)
     net = OmegaNet(cfg, seed=OVERFIT_NET_SEED)
@@ -193,7 +194,7 @@ ABLATION_LR = 7e-4
 ABLATION_SEEDS = (0, 1, 2)
 
 
-def _ablation_run(mdsa_enabled, seed, ds, train_idx, val_idx):
+def _ablation_run(mdsa_enabled, seed, train_ds, val_ds):
     cfg = ModelConfig(depth=3, encoder_channels=[8, 16, 32], out_channels=2, k=10,
                       lambda_s=10.0, lambda_a=1.0, input_size=64,
                       mdsa_enabled=mdsa_enabled)
@@ -201,9 +202,8 @@ def _ablation_run(mdsa_enabled, seed, ds, train_idx, val_idx):
     loop = TrainLoopConfig(epochs=ABLATION_EPOCHS, micro_batch_size=4,
                            accumulation_steps=1, eval_interval=10 ** 9,
                            threshold=0.5, seed=seed)
-    train(net, ds, loop, adam=AdamState(lr=ABLATION_LR, weight_decay=0.00015),
-          indices=train_idx)
-    return evaluate(net, ds, indices=val_idx).channels[1].dsc
+    train(net, train_ds, loop, adam=AdamState(lr=ABLATION_LR, weight_decay=0.00015))
+    return evaluate(net, val_ds).channels[1].dsc
 
 
 # what a worker's BLAS reads, when it imports numpy, for its thread count
@@ -238,11 +238,10 @@ def test_criterion_8_ablation_direction():
     # comparison measures the converged plateau rather than breakthrough luck
     spec = SyntheticSpec(image_size=64, n_samples=64, noise_sigma=0.03, seed=5,
                          tumor_radius=(0.04, 0.08))
-    ds = SyntheticDataset(spec)
     splits = split_ranges(64)
-    train_idx, val_idx = list(splits["train"]), list(splits["val"])
+    train_ds, val_ds = ([generate(spec, i) for i in splits[name]] for name in ("train", "val"))
     start = time.time()
-    dsc = _in_workers(_ablation_run, [(mdsa_enabled, s, ds, train_idx, val_idx)
+    dsc = _in_workers(_ablation_run, [(mdsa_enabled, s, train_ds, val_ds)
                                       for mdsa_enabled in (True, False)
                                       for s in ABLATION_SEEDS])
     full, ablated = dsc[:len(ABLATION_SEEDS)], dsc[len(ABLATION_SEEDS):]

@@ -818,3 +818,13 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "[PASS] shape/shapes_d3_s32" in out
         assert "[PASS] shape/shapes_d5_s64" in out
+
+    def test_stdout_is_identical_across_runs_and_holds_no_timing(self, capsys):
+        outs = []
+        for _ in range(2):
+            assert main(["verify", "--suite", "shape"]) == 0
+            captured = capsys.readouterr()
+            assert "shape suite finished in" in captured.err
+            outs.append(captured.out)
+        assert outs[0] == outs[1]
+        assert "finished" not in outs[0]

@@ -8,7 +8,6 @@ import pytest
 from omeganet.data import (
     DiskDataset,
     OtfError,
-    SyntheticDataset,
     SyntheticSpec,
     generate,
     read_otf,
@@ -239,10 +238,9 @@ class TestDatasetDirectory:
         write_dataset(spec, tmp_path / "d")
         ds = DiskDataset(tmp_path / "d", "train")
         assert len(ds) == 7
-        mem = SyntheticDataset(spec)  # the train split is samples 0-6
-        for i in range(7):
-            np.testing.assert_array_equal(ds[i].image, mem[i].image)
-            np.testing.assert_array_equal(ds[i].mask, mem[i].mask)
+        for i in range(7):  # the train split is samples 0-6
+            np.testing.assert_array_equal(ds[i].image, generate(spec, i).image)
+            np.testing.assert_array_equal(ds[i].mask, generate(spec, i).mask)
 
     def test_missing_split_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -1,5 +1,7 @@
 """Optimizer, accumulation, metrics, and training-loop behavior."""
 import gc
+import os
+import re
 import tracemalloc
 import types
 
@@ -8,7 +10,7 @@ import pytest
 
 from omeganet import reference, verify
 from omeganet import train as train_module
-from omeganet.data import SyntheticDataset, SyntheticSpec, stack_samples
+from omeganet.data import SyntheticSpec, generate, stack_samples
 from omeganet.net import ModelConfig, OmegaNet, save_checkpoint, build_from_checkpoint
 from omeganet.tensor import Tensor
 from omeganet.train import (
@@ -34,7 +36,8 @@ def toy_net(seed=0, dtype=np.float32, **overrides):
 
 
 def toy_dataset(n=8, seed=0, size=16):
-    return SyntheticDataset(SyntheticSpec(image_size=size, n_samples=n, seed=seed))
+    spec = SyntheticSpec(image_size=size, n_samples=n, seed=seed)
+    return [generate(spec, i) for i in range(n)]
 
 
 @pytest.fixture
@@ -123,7 +126,7 @@ class TestAdam:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("weight_decay", [0.0, 1.5e-4])
     def test_bit_identical_to_whole_array_formula(self, dtype, weight_decay):
-        # sizes straddle the chunk edges; one parameter sometimes has no gradient
+        # sizes straddle the chunk edges
         assert verify.adam_mismatches(dtype, weight_decay) == 0
 
     def test_non_contiguous_and_read_only_parameters_update(self, rng):
@@ -165,14 +168,18 @@ class TestAdam:
         assert peak < 0.5 * p.data.nbytes, peak
 
     def test_misshapen_gradient_rejects_whole_step(self):
-        a = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
-        b = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
-        state = AdamState()
-        grads = {"a": np.ones(2, dtype=np.float32), "b": np.ones(4, dtype=np.float32)}
-        with pytest.raises(ValueError, match="'b'"):
-            adam_step([("a", a), ("b", b)], grads, state)
-        assert state.t == 0 and state.m == {}
-        np.testing.assert_array_equal(a.data, np.ones(2))
+        # a missing gradient, None or an absent key, is rejected the same way
+        a_grad = np.ones(2, dtype=np.float32)
+        for grads in ({"a": a_grad, "b": np.ones(4, dtype=np.float32)},
+                      {"a": a_grad, "b": None}, {"a": a_grad}):
+            a = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
+            b = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+            state = AdamState()
+            with pytest.raises(ValueError, match="'b'"):
+                adam_step([("a", a), ("b", b)], grads, state)
+            assert state.t == 0 and state.m == {} and state.v == {}, grads
+            np.testing.assert_array_equal(a.data, np.ones(2))
+            np.testing.assert_array_equal(b.data, np.ones(3))
 
 
 class TestAccumulation:
@@ -477,3 +484,52 @@ class TestTrainLoop:
         assert len(lines) == 1 + 4
         expected = straight if before == "full" else b"".join(lines[:1] + lines[3:])
         assert path.read_bytes() == expected
+
+    def test_checkpoint_path_that_is_a_directory_fails_before_step_1(
+            self, tmp_path, monkeypatch):
+        accumulate, steps = train_module.accumulate_gradients, []
+
+        def counted(net_, micro_batches):
+            steps.append(micro_batches)
+            return accumulate(net_, micro_batches)
+
+        monkeypatch.setattr(train_module, "accumulate_gradients", counted)
+        cfg = TrainLoopConfig(epochs=1, micro_batch_size=2, accumulation_steps=2,
+                              eval_interval=2, seed=0)
+        history = tmp_path / "history.csv"
+        with pytest.raises(IsADirectoryError, match=re.escape(str(tmp_path))):
+            train(toy_net(), toy_dataset(8), cfg, adam=AdamState(lr=1e-3),
+                  checkpoint_path=tmp_path, history_csv=history)
+        assert steps == [] and not history.exists()
+
+    def test_history_is_fsynced_before_each_checkpoint(self, tmp_path, monkeypatch):
+        # row appended, then the CSV fsynced, then the checkpoint that records it
+        events = []
+        write_row, fsync = train_module.write_history_row, train_module._fsync
+        save = train_module.save_checkpoint
+        history, ckpt = tmp_path / "history.csv", tmp_path / "ck.otf"
+
+        def logged_row(path, entry, n_channels):
+            write_row(path, entry, n_channels)
+            events.append(("row", entry.step))
+
+        def logged_fsync(path):
+            fsync(path)
+            events.append(("fsync", os.path.relpath(path, tmp_path)))
+
+        def logged_save(net_, path, extra=None):
+            save(net_, path, extra=extra)
+            events.append(("checkpoint", int(extra["adam.t"][0])))
+
+        monkeypatch.setattr(train_module, "write_history_row", logged_row)
+        monkeypatch.setattr(train_module, "_fsync", logged_fsync)
+        monkeypatch.setattr(train_module, "save_checkpoint", logged_save)
+        cfg = TrainLoopConfig(epochs=2, micro_batch_size=2, accumulation_steps=2,
+                              eval_interval=2, seed=0)
+        train(toy_net(), toy_dataset(8), cfg, adam=AdamState(lr=1e-3),
+              checkpoint_path=ckpt, history_csv=history)
+        assert events == [
+            ("fsync", "."),
+            ("row", 1), ("row", 2), ("fsync", "history.csv"), ("checkpoint", 2),
+            ("row", 3), ("row", 4), ("fsync", "history.csv"), ("checkpoint", 4),
+        ]
