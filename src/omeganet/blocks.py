@@ -18,7 +18,6 @@ import numpy as np
 
 from .tensor import (
     Tensor,
-    ShapeError,
     add,
     adaptive_avg_pool_to_k,
     concat_channels,
@@ -200,16 +199,11 @@ def dspa(m: Tensor, p: DspaParams, return_attention: bool = False):
 
     Per item: with M the (C, N) pixel features and D the (C, K) summaries,
     the attention row for pixel j is softmax_i(D_i . M_j) and the output is
-    D A^T + M reshaped back to (C, H, W).
+    D A^T + M reshaped back to (C, H, W).  The pooling rejects H*W < K.
     """
     n, c, h, w = m.shape
-    npos = h * w
-    if npos < p.k:
-        raise ShapeError(
-            f"dspa requires H*W >= K, got {h}x{w} = {npos} positions for K={p.k}"
-        )
     dense = adaptive_avg_pool_to_k(relu(apply_conv(m, p.dilated)), p.k)  # (N, C, K)
-    m2 = reshape(m, (n, c, npos))
+    m2 = reshape(m, (n, c, h * w))
     attn = softmax_rows(matmul(transpose_last2(m2), dense))  # (N, H*W, K)
     out = add(matmul(dense, transpose_last2(attn)), m2)
     out = reshape(out, (n, c, h, w))

@@ -104,9 +104,11 @@ class ModelConfig:
 
     ``encoder_channels`` must double at every stage, and the read-only
     ``decoder_channels`` is its reverse; ``input_size`` is the square input
-    extent, a power of two no smaller than 2**(depth-1).
-    ``mdsa_enabled=False`` builds the ablation variant whose main-path skips
-    bypass the attention stack.
+    extent, a power of two no smaller than 2**(depth-1).  DSPA pools each
+    attended skip into ``k`` features, so ``k`` is at most the position count
+    of the coarsest, (input_size / 2**(depth-2))**2.  ``mdsa_enabled=False``
+    builds the ablation variant whose main-path skips bypass the attention
+    stack.
     """
 
     depth: int = 5
@@ -155,6 +157,10 @@ class ModelConfig:
                 f"input_size {n} too small for depth {self.depth}"
                 f" (needs >= {2 ** (self.depth - 1)})"
             )
+        side = n >> (self.depth - 2)  # stage 1's skip, the coarsest that DSPA pools
+        if self.mdsa_enabled and self.k > side * side:
+            raise ValueError(f"k must be <= {side * side}, the {side}x{side} positions of the"
+                             f" coarsest attended skip, got {self.k}")
         return self
 
     def to_dict(self):

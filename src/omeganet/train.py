@@ -242,23 +242,24 @@ def compute_metrics(prob, mask, threshold: float = 0.5) -> MetricsReport:
     return metrics_from_counts(*confusion_counts(prob, mask, threshold))
 
 
+def _micro_batches(dataset, indices, size, dtype):
+    """Yield the stacked (images, mask) tensors of ``dataset[i]`` for
+    ``indices``, ``size`` samples at a time; the last batch may be short."""
+    for lo in range(0, len(indices), size):
+        yield stack_samples([dataset[i] for i in indices[lo:lo + size]], dtype=dtype)
+
+
 def evaluate(net: OmegaNet, dataset, threshold: float = 0.5,
              micro_batch_size: int = 8) -> MetricsReport:
     """Main-head metrics over a sequence of samples, accumulated in micro-batches."""
-    idx = range(len(dataset))
-    if not idx:
+    if len(dataset) == 0:
         raise ValueError("cannot evaluate an empty dataset")
-    totals = None
+    totals = 0
     with no_grad():
-        for lo in idx[::micro_batch_size]:
-            chunk = [dataset[i] for i in idx[lo:lo + micro_batch_size]]
-            images, mask = stack_samples(chunk, dtype=net.dtype)
+        for images, mask in _micro_batches(dataset, range(len(dataset)), micro_batch_size,
+                                           net.dtype):
             prob = sigmoid(net.forward(images).main_logits)
-            counts = confusion_counts(prob.data, mask.data, threshold)
-            if totals is None:
-                totals = list(counts)
-            else:
-                totals = [a + b for a, b in zip(totals, counts)]
+            totals = totals + np.array(confusion_counts(prob.data, mask.data, threshold))
     return metrics_from_counts(*totals)
 
 
@@ -343,11 +344,8 @@ def train(net: OmegaNet, dataset, cfg: TrainLoopConfig, adam: AdamState | None =
         epoch, pos = divmod(step, steps_per_epoch)
         order = _epoch_order(cfg.seed, epoch, idx)
         chunk = order[pos * per_step:(pos + 1) * per_step]
-        micro_batches = []
-        for g in range(cfg.accumulation_steps):
-            part = chunk[g * cfg.micro_batch_size:(g + 1) * cfg.micro_batch_size]
-            micro_batches.append(stack_samples([dataset[i] for i in part], dtype=net.dtype))
-        grads, loss = accumulate_gradients(net, micro_batches)
+        grads, loss = accumulate_gradients(
+            net, list(_micro_batches(dataset, chunk, cfg.micro_batch_size, net.dtype)))
         if not np.isfinite(loss):
             raise DivergenceError(f"non-finite loss at step {step + 1}")
         adam_step(params, grads, adam)

@@ -53,78 +53,49 @@ def _rand(rng, shape):
 # Gradient suite
 # ---------------------------------------------------------------------------
 
-def _grad_check(name, loss_fn, named_params, tol) -> CheckResult:
+def _grad_check(name, loss_fn, named_params) -> CheckResult:
     errors = reference.check_gradients(loss_fn, named_params)
-    return CheckResult(name, max(errors.values()), tol)
+    return CheckResult(name, max(errors.values()), GRAD_TOL_BLOCK)
+
+
+def _op_check(name, rng, op, *shapes, params=()) -> CheckResult:
+    """Check sum(op(*operands)) against its operands, drawn from ``rng`` in
+    order, and against ``params``."""
+    operands = [_rand(rng, shape) for shape in shapes]
+    return _grad_check(name, lambda: sum_all(op(*operands)),
+                       list(zip("xwb", operands)) + list(params))
 
 
 def grad_suite():
     """Finite-difference checks per block, then the tiny end-to-end network."""
     rng = np.random.default_rng(42)
-    results = []
-
-    x = _rand(rng, (2, 3, 5, 5))
-    w = _rand(rng, (4, 3, 3, 3))
-    b = _rand(rng, (4,))
-    results.append(_grad_check(
-        "conv2d", lambda: sum_all(conv2d(x, w, b)),
-        [("x", x), ("w", w), ("b", b)], GRAD_TOL_BLOCK))
-
-    # a 1x1 kernel's columns are a view of the input
-    rng_k = np.random.default_rng(5)
-    xk = _rand(rng_k, (2, 3, 5, 5))
-    wk = _rand(rng_k, (4, 3, 1, 1))
-    bk = _rand(rng_k, (4,))
-    results.append(_grad_check(
-        "conv2d_1x1", lambda: sum_all(conv2d(xk, wk, bk)),
-        [("x", xk), ("w", wk), ("b", bk)], GRAD_TOL_BLOCK))
-
-    xt = _rand(rng, (2, 3, 4, 4))
-    wt = _rand(rng, (3, 2, 2, 2))
-    bt = _rand(rng, (2,))
-    results.append(_grad_check(
-        "transposed_conv2d", lambda: sum_all(transposed_conv2d(xt, wt, bt)),
-        [("x", xt), ("w", wt), ("b", bt)], GRAD_TOL_BLOCK))
-
-    xp = _rand(rng, (1, 2, 4, 4))
-    results.append(_grad_check(
-        "maxpool2d", lambda: sum_all(maxpool2d(xp)), [("x", xp)], GRAD_TOL_BLOCK))
-
-    xa = _rand(rng, (1, 2, 3, 4))
-    results.append(_grad_check(
-        "adaptive_avg_pool", lambda: sum_all(adaptive_avg_pool_to_k(xa, 5)),
-        [("x", xa)], GRAD_TOL_BLOCK))
-
+    results = [
+        _op_check("conv2d", rng, conv2d, (2, 3, 5, 5), (4, 3, 3, 3), (4,)),
+        # a 1x1 kernel's columns are a view of the input
+        _op_check("conv2d_1x1", np.random.default_rng(5), conv2d,
+                  (2, 3, 5, 5), (4, 3, 1, 1), (4,)),
+        _op_check("transposed_conv2d", rng, transposed_conv2d, (2, 3, 4, 4), (3, 2, 2, 2), (2,)),
+        _op_check("maxpool2d", rng, maxpool2d, (1, 2, 4, 4)),
+        _op_check("adaptive_avg_pool", rng, lambda x: adaptive_avg_pool_to_k(x, 5), (1, 2, 3, 4)),
+    ]
     xs = _rand(rng, (4, 6))
     # quadratic weighting makes the softmax gradient generic
     sw = Tensor(rng.normal(size=(4, 6)), dtype=np.float64)
     results.append(_grad_check(
-        "softmax_rows",
-        lambda: sum_all(matmul(softmax_rows(xs), transpose_last2(sw))),
-        [("x", xs)], GRAD_TOL_BLOCK))
-
-    md = _rand(rng, (1, 3, 4, 4))
+        "softmax_rows", lambda: sum_all(matmul(softmax_rows(xs), transpose_last2(sw))),
+        [("x", xs)]))
     pd = blocks.init_dspa(np.random.default_rng(3), 3, k=2, dtype=np.float64)
-    results.append(_grad_check(
-        "dspa", lambda: sum_all(blocks.dspa(md, pd)),
-        [("m", md)] + list(blocks.named_parameters(pd, "p")), GRAD_TOL_BLOCK))
-
-    mc = _rand(rng, (1, 3, 3, 3))
-    results.append(_grad_check(
-        "channel_attention", lambda: sum_all(blocks.channel_attention(mc)),
-        [("m", mc)], GRAD_TOL_BLOCK))
-
-    mm = _rand(rng, (1, 3, 4, 4))
     pm = blocks.init_msc(np.random.default_rng(4), 3, dtype=np.float64)
-    results.append(_grad_check(
-        "cascade_msc", lambda: sum_all(blocks.cascade_msc(mm, pm)),
-        [("m", mm)] + list(blocks.named_parameters(pm, "p")), GRAD_TOL_BLOCK))
-
+    results += [
+        _op_check("dspa", rng, lambda m: blocks.dspa(m, pd), (1, 3, 4, 4),
+                  params=blocks.named_parameters(pd, "p")),
+        _op_check("channel_attention", rng, blocks.channel_attention, (1, 3, 3, 3)),
+        _op_check("cascade_msc", rng, lambda m: blocks.cascade_msc(m, pm), (1, 3, 4, 4),
+                  params=blocks.named_parameters(pm, "p")),
+    ]
     zl = _rand(rng, (2, 2, 3, 3))
     yb = Tensor((rng.uniform(size=(2, 2, 3, 3)) > 0.5).astype(np.float64))
-    results.append(_grad_check(
-        "bce", lambda: bce_loss(zl, yb), [("logits", zl)], GRAD_TOL_BLOCK))
-
+    results.append(_grad_check("bce", lambda: bce_loss(zl, yb), [("logits", zl)]))
     results.append(end_to_end_grad_check())
     return results
 
@@ -153,114 +124,122 @@ def end_to_end_grad_check() -> CheckResult:
 # Oracle suite
 # ---------------------------------------------------------------------------
 
-def oracle_suite():
-    """Fast paths versus scalar-loop oracles on random small cases."""
-    rng = np.random.default_rng(2024)
-    results = []
+# Each case draws one random instance from ``rng`` and returns the error of
+# the fast path against its scalar-loop oracle.
 
-    worst = 0.0
-    for _ in range(ORACLE_INSTANCES):
-        n, ci, co = rng.integers(1, 3), rng.integers(1, 5), rng.integers(1, 5)
-        k, dl = int(rng.choice([1, 3, 5])), int(rng.integers(1, 3))
-        x = rng.normal(size=(n, ci, int(rng.integers(1, 10)), int(rng.integers(1, 10))))
-        wt = rng.normal(size=(co, ci, k, k))
-        b = rng.normal(size=(co,))
-        got = conv2d(Tensor(x), Tensor(wt), Tensor(b), dl).data
-        ref = reference.conv2d_naive(x, wt, b, 1, dl * (k - 1) // 2, dl)
-        worst = max(worst, reference.relative_error(got, ref))
-    results.append(CheckResult("conv2d", worst, ORACLE_TOL))
+def _conv2d_case(rng):
+    n, ci, co = rng.integers(1, 3), rng.integers(1, 5), rng.integers(1, 5)
+    k, dl = int(rng.choice([1, 3, 5])), int(rng.integers(1, 3))
+    x = rng.normal(size=(n, ci, int(rng.integers(1, 10)), int(rng.integers(1, 10))))
+    wt = rng.normal(size=(co, ci, k, k))
+    b = rng.normal(size=(co,))
+    got = conv2d(Tensor(x), Tensor(wt), Tensor(b), dl).data
+    ref = reference.conv2d_naive(x, wt, b, 1, dl * (k - 1) // 2, dl)
+    return reference.relative_error(got, ref)
 
+
+def _transposed_conv2d_case(rng):
     # the up-sampler's stride is its kernel size k
-    worst = 0.0
-    for _ in range(ORACLE_INSTANCES):
-        n, ci, co = rng.integers(1, 3), rng.integers(1, 5), rng.integers(1, 5)
-        k = int(rng.integers(1, 4))
-        x = rng.normal(size=(n, ci, int(rng.integers(1, 6)), int(rng.integers(1, 6))))
-        wt = rng.normal(size=(ci, co, k, k))
-        b = rng.normal(size=(co,))
-        got = transposed_conv2d(Tensor(x), Tensor(wt), Tensor(b)).data
-        ref = reference.transposed_conv2d_naive(x, wt, b, k)
-        worst = max(worst, reference.relative_error(got, ref))
-    results.append(CheckResult("transposed_conv2d", worst, ORACLE_TOL))
+    n, ci, co = rng.integers(1, 3), rng.integers(1, 5), rng.integers(1, 5)
+    k = int(rng.integers(1, 4))
+    x = rng.normal(size=(n, ci, int(rng.integers(1, 6)), int(rng.integers(1, 6))))
+    wt = rng.normal(size=(ci, co, k, k))
+    b = rng.normal(size=(co,))
+    got = transposed_conv2d(Tensor(x), Tensor(wt), Tensor(b)).data
+    return reference.relative_error(got, reference.transposed_conv2d_naive(x, wt, b, k))
 
-    worst = 0.0
-    for _ in range(ORACLE_INSTANCES):
-        x = rng.normal(size=(int(rng.integers(1, 3)), int(rng.integers(1, 4)),
-                             2 * int(rng.integers(1, 5)), 2 * int(rng.integers(1, 5))))
-        got = maxpool2d(Tensor(x)).data
-        worst = max(worst, reference.relative_error(got, reference.maxpool2d_naive(x)))
-    results.append(CheckResult("maxpool2d", worst, ORACLE_TOL))
 
-    worst = 0.0
-    for _ in range(ORACLE_INSTANCES):
-        x = rng.uniform(-6, 6, size=(int(rng.integers(1, 8)), int(rng.integers(1, 9))))
-        got = softmax_rows(Tensor(x)).data
-        worst = max(worst, np.abs(got - reference.softmax_naive(x)).max())
-        worst = max(worst, np.abs(got.sum(-1) - 1.0).max())
-    results.append(CheckResult("softmax_rows", worst, 1e-12))
+def _maxpool2d_case(rng):
+    x = rng.normal(size=(int(rng.integers(1, 3)), int(rng.integers(1, 4)),
+                         2 * int(rng.integers(1, 5)), 2 * int(rng.integers(1, 5))))
+    return reference.relative_error(maxpool2d(Tensor(x)).data, reference.maxpool2d_naive(x))
 
-    worst = 0.0
-    for _ in range(ORACLE_INSTANCES):
-        x = rng.normal(size=(1, int(rng.integers(1, 4)), int(rng.integers(2, 5)),
-                             int(rng.integers(2, 5))))
-        kk = int(rng.integers(1, min(5, x.shape[2] * x.shape[3]) + 1))
-        got = adaptive_avg_pool_to_k(Tensor(x), kk).data
-        worst = max(worst, reference.relative_error(got, reference.adaptive_pool_naive(x, kk)))
-    results.append(CheckResult("adaptive_avg_pool", worst, ORACLE_TOL))
 
-    worst = 0.0
-    for _ in range(ORACLE_INSTANCES):
-        c = int(rng.integers(2, 4))
-        h = w = int(rng.integers(2, 5))
-        kk = int(rng.integers(1, 5))
-        m = Tensor(rng.normal(size=(1, c, h, w)), dtype=np.float64)
-        p = blocks.init_dspa(rng, c, k=kk, dtype=np.float64)
-        got = blocks.dspa(m, p).data.reshape(c, h * w)
-        t = np.maximum(reference.conv2d_naive(
-            m.data, p.dilated.weight.data, p.dilated.bias.data, 1, 2, 2), 0)
-        d = reference.adaptive_pool_naive(t, kk)[0]
-        ref, _ = reference.spatial_attention_naive(m.data.reshape(c, h * w), d)
-        worst = max(worst, reference.relative_error(got, ref))
-    results.append(CheckResult("dspa", worst, ORACLE_TOL))
+def _softmax_rows_case(rng):
+    x = rng.uniform(-6, 6, size=(int(rng.integers(1, 8)), int(rng.integers(1, 9))))
+    got = softmax_rows(Tensor(x)).data
+    return max(np.abs(got - reference.softmax_naive(x)).max(), np.abs(got.sum(-1) - 1.0).max())
 
-    worst = 0.0
-    for _ in range(ORACLE_INSTANCES):
-        c = int(rng.integers(1, 5))
-        h = w = int(rng.integers(2, 4))
-        m = Tensor(rng.normal(size=(1, c, h, w)), dtype=np.float64)
-        got = blocks.channel_attention(m).data.reshape(c, h * w)
-        ref, _ = reference.channel_attention_naive(m.data.reshape(c, h * w))
-        worst = max(worst, reference.relative_error(got, ref))
-    results.append(CheckResult("channel_attention", worst, ORACLE_TOL))
 
-    worst = 0.0
-    for _ in range(ORACLE_INSTANCES):
-        shape = (int(rng.integers(1, 3)), 2, int(rng.integers(2, 7)), int(rng.integers(2, 7)))
-        prob = rng.uniform(size=shape)
-        mask = (rng.uniform(size=shape) > rng.uniform(0.2, 0.8)).astype(np.float64)
-        report = compute_metrics(prob, mask)
-        naive = reference.metrics_naive(prob, mask)
-        for c, (got_c, ref_c) in enumerate(zip(report.channels, naive)):
-            for key in ("tp", "fp", "fn", "tn"):
-                if getattr(got_c, key) != ref_c[key]:
-                    worst = max(worst, 1.0)
-        # metric values recomputed from naive counts must agree exactly
-        for got_c, ref_c in zip(report.channels, naive):
-            t = ref_c["tp"] + ref_c["fn"]
-            p = ref_c["tp"] + ref_c["fp"]
-            dsc = 1.0 if (t == 0 and p == 0) else 2.0 * ref_c["tp"] / (t + p)
-            worst = max(worst, abs(got_c.dsc - dsc))
-    results.append(CheckResult("metrics", worst, 0.0))
+def _adaptive_avg_pool_case(rng):
+    x = rng.normal(size=(1, int(rng.integers(1, 4)), int(rng.integers(2, 5)),
+                         int(rng.integers(2, 5))))
+    kk = int(rng.integers(1, min(5, x.shape[2] * x.shape[3]) + 1))
+    got = adaptive_avg_pool_to_k(Tensor(x), kk).data
+    return reference.relative_error(got, reference.adaptive_pool_naive(x, kk))
 
-    worst = sum(adam_mismatches(dtype, wd)
-                for dtype in (np.float32, np.float64) for wd in (0.0, AdamState.weight_decay))
-    results.append(CheckResult("adam", float(worst), 0.0))
 
-    worst = sum(init_mismatches(dtype, transposed)
-                for dtype in (np.float32, np.float64) for transposed in (False, True))
-    results.append(CheckResult("init", float(worst), 0.0))
+def _dspa_case(rng):
+    c = int(rng.integers(2, 4))
+    h = w = int(rng.integers(2, 5))
+    kk = int(rng.integers(1, 5))
+    m = Tensor(rng.normal(size=(1, c, h, w)), dtype=np.float64)
+    p = blocks.init_dspa(rng, c, k=kk, dtype=np.float64)
+    got = blocks.dspa(m, p).data.reshape(c, h * w)
+    t = np.maximum(reference.conv2d_naive(
+        m.data, p.dilated.weight.data, p.dilated.bias.data, 1, 2, 2), 0)
+    d = reference.adaptive_pool_naive(t, kk)[0]
+    ref, _ = reference.spatial_attention_naive(m.data.reshape(c, h * w), d)
+    return reference.relative_error(got, ref)
 
+
+def _channel_attention_case(rng):
+    c = int(rng.integers(1, 5))
+    h = w = int(rng.integers(2, 4))
+    m = Tensor(rng.normal(size=(1, c, h, w)), dtype=np.float64)
+    got = blocks.channel_attention(m).data.reshape(c, h * w)
+    ref, _ = reference.channel_attention_naive(m.data.reshape(c, h * w))
+    return reference.relative_error(got, ref)
+
+
+def _metrics_case(rng):
+    """The largest of 1 for a confusion count unlike the naive one and the
+    difference from the DSC recomputed from the naive counts; both must
+    agree exactly."""
+    shape = (int(rng.integers(1, 3)), 2, int(rng.integers(2, 7)), int(rng.integers(2, 7)))
+    prob = rng.uniform(size=shape)
+    mask = (rng.uniform(size=shape) > rng.uniform(0.2, 0.8)).astype(np.float64)
+    errors = [0.0]
+    naive = reference.metrics_naive(prob, mask)
+    for got, ref in zip(compute_metrics(prob, mask).channels, naive):
+        if any(getattr(got, key) != ref[key] for key in ("tp", "fp", "fn", "tn")):
+            errors.append(1.0)
+        t, p = ref["tp"] + ref["fn"], ref["tp"] + ref["fp"]
+        errors.append(abs(got.dsc - (1.0 if (t == 0 and p == 0) else 2.0 * ref["tp"] / (t + p))))
+    return max(errors)
+
+
+ORACLE_CASES = (
+    ("conv2d", _conv2d_case, ORACLE_TOL),
+    ("transposed_conv2d", _transposed_conv2d_case, ORACLE_TOL),
+    ("maxpool2d", _maxpool2d_case, ORACLE_TOL),
+    ("softmax_rows", _softmax_rows_case, 1e-12),
+    ("adaptive_avg_pool", _adaptive_avg_pool_case, ORACLE_TOL),
+    ("dspa", _dspa_case, ORACLE_TOL),
+    ("channel_attention", _channel_attention_case, ORACLE_TOL),
+    ("metrics", _metrics_case, 0.0),
+)
+
+
+def oracle_suite():
+    """Fast paths versus scalar-loop oracles: the worst error over random
+    small cases per op, then the bit-exact Adam and init checks."""
+    rng = np.random.default_rng(2024)
+    results = [CheckResult(name, max(case(rng) for _ in range(ORACLE_INSTANCES)), tol)
+               for name, case, tol in ORACLE_CASES]
+    mismatches = sum(adam_mismatches(dtype, wd)
+                     for dtype in (np.float32, np.float64) for wd in (0.0, AdamState.weight_decay))
+    results.append(CheckResult("adam", float(mismatches), 0.0))
+    mismatches = sum(init_mismatches(dtype, transposed)
+                     for dtype in (np.float32, np.float64) for transposed in (False, True))
+    results.append(CheckResult("init", float(mismatches), 0.0))
     return results
+
+
+def _bit_mismatches(a, b) -> int:
+    """Elements whose bits differ between two arrays of one float dtype."""
+    bits = f"u{a.dtype.itemsize}"
+    return int(np.count_nonzero(a.view(bits) != b.view(bits)))
 
 
 ADAM_SIZES = (1, ADAM_CHUNK - 1, ADAM_CHUNK, ADAM_CHUNK + 1, 3 * ADAM_CHUNK + 5)
@@ -282,13 +261,9 @@ def adam_mismatches(dtype, weight_decay) -> int:
         grads = {k: rng.normal(size=a.shape).astype(dtype) for k, a in init.items()}
         adam_step(fast, grads, fast_state)
         reference.adam_step_naive(slow, grads, slow_state)
-    bits = np.uint32 if np.dtype(dtype).itemsize == 4 else np.uint64
-    mismatches = 0
-    for (k, p), (_, q) in zip(fast, slow):
-        for a, b in ((p.data, q.data), (fast_state.m[k], slow_state.m[k]),
-                     (fast_state.v[k], slow_state.v[k])):
-            mismatches += int(np.count_nonzero(a.view(bits) != b.view(bits)))
-    return mismatches
+    return sum(_bit_mismatches(a, b) for (k, p), (_, q) in zip(fast, slow)
+               for a, b in ((p.data, q.data), (fast_state.m[k], slow_state.m[k]),
+                            (fast_state.v[k], slow_state.v[k])))
 
 
 INIT_SIZES = (1, blocks.KAIMING_CHUNK - 1, blocks.KAIMING_CHUNK, blocks.KAIMING_CHUNK + 1,
@@ -309,15 +284,12 @@ def init_mismatches(dtype, transposed) -> int:
     fast, slow = np.random.default_rng(13), np.random.default_rng(13)
     fast.integers(2)
     slow.integers(2)
-    bits = np.uint32 if np.dtype(dtype).itemsize == 4 else np.uint64
     built = [blocks.kaiming_conv(fast, n, 1, 1, transposed=transposed, dtype=dtype).weight
              for n in INIT_SIZES]
     refs = [reference.kaiming_conv_naive(slow, n, 1, 1, transposed=transposed, dtype=dtype)
             for n in INIT_SIZES]
-    mismatches = int(fast.bit_generator.state != slow.bit_generator.state)
-    for got, ref in reversed(list(zip(built, refs))):
-        mismatches += int(np.count_nonzero(got.data.view(bits) != ref.view(bits)))
-    return mismatches
+    return int(fast.bit_generator.state != slow.bit_generator.state) + sum(
+        _bit_mismatches(got.data, ref) for got, ref in reversed(list(zip(built, refs))))
 
 
 # ---------------------------------------------------------------------------

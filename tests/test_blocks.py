@@ -155,7 +155,7 @@ class TestDspa:
 
     def test_too_few_positions_rejected(self, rng):
         p = blocks.init_dspa(rng, 2, k=5, dtype=np.float64)
-        with pytest.raises(ShapeError, match="H\\*W >= K"):
+        with pytest.raises(ShapeError, match="1 <= k <= H\\*W"):
             blocks.dspa(t64(rng.normal(size=(1, 2, 2, 2))), p)
 
 

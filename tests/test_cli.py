@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from omeganet import cli as cli_module
+from omeganet import verify
 from omeganet import train as train_module
 from omeganet.cli import load_run_config, main
 from omeganet.data import generate, read_otf, read_pgm, write_otf, SyntheticSpec
@@ -132,6 +133,19 @@ class TestConfigValidation:
         assert main([command, "--config", str(config)]) == 2
         assert "'model.out_channels'" in capsys.readouterr().err
         assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize("command", ["gen-data", "train", "eval"])
+    def test_k_over_coarsest_attended_skip_exits_2_writing_nothing(self, tmp_path, capsys,
+                                                                  command):
+        config, _ = make_config(tmp_path, **{"model.k": 65})  # the 16x16 net's is 8x8
+        assert main([command, "--config", str(config)]) == 2
+        assert "k must be <= 64" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+    def test_k_over_coarsest_attended_skip_trains_without_mdsa(self, tmp_path):
+        config, _ = make_config(tmp_path, **{"model.k": 65, "model.mdsa_enabled": False})
+        assert main(["gen-data", "--config", str(config)]) == 0
+        assert main(["train", "--config", str(config)]) == 0
 
     @pytest.mark.parametrize("key, other", [("metrics_csv", "checkpoint"),
                                             ("checkpoint", "data_dir"),
@@ -662,6 +676,18 @@ def test_wrong_typed_checkpoint_config_exits_4_naming_key(generated, capsys, key
     assert capsys.readouterr().err.count(f"'model.{key}'") == 3
 
 
+def test_checkpoint_config_with_k_over_coarsest_attended_skip_exits_4(generated, capsys):
+    config, cfg, tmp_path = generated
+    ckpt = tmp_path / "k.otf"
+    save_checkpoint(OmegaNet(ModelConfig(**cfg["model"]), seed=0), ckpt)
+    entries = read_otf(ckpt)
+    raw = json.dumps(dict(cfg["model"], k=65)).encode("utf-8")
+    entries["config.json"] = np.frombuffer(raw, dtype=np.uint8).astype(np.float32)
+    write_otf(ckpt, entries)
+    assert loading_commands(config, tmp_path, ckpt) == (4, 4, 4)
+    assert capsys.readouterr().err.count("corrupt config entry") == 3
+
+
 @pytest.mark.parametrize("name, value", [
     ("adam.v.head.main.bias", None),  # leaves adam.m.head.main.bias without its partner
     ("adam.m.head.main.bias", [0.0]),  # the bias has 2 values
@@ -813,6 +839,25 @@ def test_legacy_decoder_channels_not_reversed_exits_4(generated, capsys):
 
 
 class TestVerifyCommand:
+    def test_suites_return_the_pinned_rows(self, monkeypatch):
+        # the end-to-end check takes a minute; its row is stubbed, not its place
+        monkeypatch.setattr(verify, "end_to_end_grad_check", lambda: verify.CheckResult(
+            "end_to_end", 0.0, verify.GRAD_TOL_END_TO_END))
+        rows = {suite: [(r.name, r.tol) for r in fn()] for suite, fn in
+                [("grad", verify.grad_suite), ("oracle", verify.oracle_suite),
+                 ("shape", verify.shape_suite)]}
+        blocks = ["conv2d", "conv2d_1x1", "transposed_conv2d", "maxpool2d", "adaptive_avg_pool",
+                  "softmax_rows", "dspa", "channel_attention", "cascade_msc", "bce"]
+        assert rows == {
+            "grad": [(name, 1e-4) for name in blocks] + [("end_to_end", 1e-3)],
+            "oracle": [("conv2d", 1e-10), ("transposed_conv2d", 1e-10), ("maxpool2d", 1e-10),
+                       ("softmax_rows", 1e-12), ("adaptive_avg_pool", 1e-10), ("dspa", 1e-10),
+                       ("channel_attention", 1e-10), ("metrics", 0.0), ("adam", 0.0),
+                       ("init", 0.0)],
+            "shape": [("shapes_d3_s32", 0.0), ("shapes_d3_s64", 0.0), ("shapes_d5_s32", 0.0),
+                      ("shapes_d5_s64", 0.0)],
+        }
+
     def test_shape_suite_passes(self, capsys):
         assert main(["verify", "--suite", "shape"]) == 0
         out = capsys.readouterr().out

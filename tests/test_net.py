@@ -62,6 +62,14 @@ class TestModelConfig:
         with pytest.raises(ValueError, match="too small"):
             ModelConfig(depth=5, encoder_channels=[4, 8, 16, 32, 64], input_size=8)
 
+    def test_k_over_coarsest_attended_skip_rejected_unless_mdsa_disabled(self):
+        toy_config(k=64)  # stage 1's skip is 8x8
+        with pytest.raises(ValueError, match="k must be <= 64"):
+            toy_config(k=65)
+        toy_config(k=65, mdsa_enabled=False)
+        with pytest.raises(ValueError, match="k must be <= 4, the 2x2 positions"):
+            ModelConfig(depth=4, encoder_channels=[4, 8, 16, 32], input_size=8, k=10)
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             ModelConfig.from_dict({"depth": 3, "bogus": 1})
