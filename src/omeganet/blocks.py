@@ -6,8 +6,8 @@ and the two attention modules (dense spatial-position attention over K summary
 features, channel attention over the C channel maps) whose composition forms
 the MDSA stack.  Every block maps (N, C, H, W) to (N, C, H, W).
 
-Convolutions inside blocks are followed by relu, except the final MSC fuse
-convolution.  There are no normalization layers.  Attention is computed
+Convolutions inside blocks end in relu, fused into the conv, except the final
+MSC fuse convolution.  There are no normalization layers.  Attention is computed
 independently per batch item (realized as batched matrix products).
 """
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .tensor import (
     concat_channels,
     conv2d,
     matmul,
-    relu,
     reshape,
     softmax_rows,
     transpose_last2,
@@ -113,10 +112,10 @@ def kaiming_conv(rng, in_channels, out_channels, kernel, *, dilation=1,
                       dilation=dilation, transposed=transposed)
 
 
-def apply_conv(x: Tensor, p: ConvParams) -> Tensor:
+def apply_conv(x: Tensor, p: ConvParams, relu: bool = False) -> Tensor:
     if p.transposed:
         return transposed_conv2d(x, p.weight, p.bias)
-    return conv2d(x, p.weight, p.bias, p.dilation)
+    return conv2d(x, p.weight, p.bias, p.dilation, relu=relu)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +138,7 @@ def init_conv_block(rng, in_channels, out_channels, dtype=np.float32) -> ConvBlo
 
 
 def conv_block(x: Tensor, p: ConvBlockParams) -> Tensor:
-    return relu(apply_conv(relu(apply_conv(x, p.conv1)), p.conv2))
+    return apply_conv(apply_conv(x, p.conv1, relu=True), p.conv2, relu=True)
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +167,9 @@ def init_msc(rng, channels, dtype=np.float32) -> MscParams:
 def cascade_msc(x: Tensor, p: MscParams) -> Tensor:
     """x1 = relu(conv5(x)); x2 = relu(conv3(x + x1)); x3 = relu(conv1(x + x2));
     output = fuse(concat(x, x1, x2, x3)), same shape as x."""
-    x1 = relu(apply_conv(x, p.conv5))
-    x2 = relu(apply_conv(add(x, x1), p.conv3))
-    x3 = relu(apply_conv(add(x, x2), p.conv1))
+    x1 = apply_conv(x, p.conv5, relu=True)
+    x2 = apply_conv(add(x, x1), p.conv3, relu=True)
+    x3 = apply_conv(add(x, x2), p.conv1, relu=True)
     return apply_conv(concat_channels([x, x1, x2, x3]), p.fuse)
 
 
@@ -202,7 +201,7 @@ def dspa(m: Tensor, p: DspaParams, return_attention: bool = False):
     D A^T + M reshaped back to (C, H, W).  The pooling rejects H*W < K.
     """
     n, c, h, w = m.shape
-    dense = adaptive_avg_pool_to_k(relu(apply_conv(m, p.dilated)), p.k)  # (N, C, K)
+    dense = adaptive_avg_pool_to_k(apply_conv(m, p.dilated, relu=True), p.k)  # (N, C, K)
     m2 = reshape(m, (n, c, h * w))
     attn = softmax_rows(matmul(transpose_last2(m2), dense))  # (N, H*W, K)
     out = add(matmul(dense, transpose_last2(attn)), m2)

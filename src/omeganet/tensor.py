@@ -5,7 +5,8 @@ attention matrices are plain rank-2/3 arrays.  The graph is rebuilt on every
 forward pass: each op that has a tracked input returns a Tensor carrying a
 backward closure over its parents, and ``Tensor.backward()`` replays those
 closures in reverse topological order.  Every closure hands each operand's
-gradient to ``_accumulate``, which drops it for an operand that needs none.
+gradient to ``_accumulate``, which drops it for an operand that needs none
+and keeps, instead of copying, a buffer the closure made for it alone.
 Backward consumes the graph: once a node's closure has run, the node drops
 its gradient, closure and parents, so each intermediate output is freed as
 soon as its last consumer is done.
@@ -18,16 +19,16 @@ discards it, so a weight that is replaced before it is read is never filled.
 
 Ops preserve the dtype of their inputs.  Networks run in float32; the
 gradient-check suites build float64 tensors and exercise the identical code
-paths.  Convolutions go through im2col + GEMM; the naive loop versions live
-in :mod:`omeganet.reference` and are used only as test oracles.  A conv has
-stride 1 and an odd square kernel, any dilation, and "same" zero padding
-derived from the kernel, so it keeps its input's extent.  The im2col/col2im
-pair owns that padding: im2col copies one strided window view of a zero
-buffer holding the input, col2im adds each kernel tap's shifted, clipped slab
-straight into a buffer of the input's extent, and the backward gathers the
-columns again from the input instead of keeping them.  A transposed conv
-up-samples by its square kernel's size k with stride k; its windows never
-overlap, so it is a GEMM plus a pixel shuffle.
+paths.  A conv is im2col + GEMM one sample at a time (the naive loops in
+:mod:`omeganet.reference` are test oracles), with stride 1, an odd square
+kernel, any dilation and "same" zero padding, so it keeps its input's extent.
+im2col copies one strided window view of a zero buffer holding a sample, and
+col2im adds each kernel tap's shifted, clipped slab straight into the input
+gradient; the backward gathers the columns again.  A conv may end in relu,
+clamping its output in place and masking the gradient by out > 0, so the
+tape keeps no pre-activation.  A transposed conv up-samples by its square
+kernel's size k with stride k; its windows never overlap, so it is a GEMM
+plus a pixel shuffle.
 """
 from __future__ import annotations
 
@@ -180,12 +181,12 @@ class Tensor:
         )
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
+def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
     if not t.requires_grad:  # the one gradient gate: untracked operands get none
         return
     if t.grad is None:
         # one pass, no zero fill; adding +0.0 keeps the bits of 0 + g (-0.0 -> +0.0)
-        t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
+        t.grad = np.add(g, 0.0, out=g if owned else np.empty_like(t.data))
     else:
         t.grad += g
 
@@ -233,20 +234,17 @@ def _tap_slices(offset: int, extent: int):
     return slice(lo + offset, hi + offset), slice(lo, hi)
 
 
-def _col2im(cols: np.ndarray, shape, k: int, dilation: int) -> np.ndarray:
-    """Scatter-add columns into a zero buffer of the input's ``shape``; adjoint of _im2col.
+def _col2im(cols: np.ndarray, dx: np.ndarray, k: int, dilation: int) -> np.ndarray:
+    """Scatter-add columns into ``dx``, of the input's shape, and return it; adjoint of _im2col.
 
     Taps are added in (i, j) order, each shifted by (i*dilation - r,
-    j*dilation - r) and clipped to the input, so every pixel sums the same
-    terms in the same order from +0.0 as a scatter into the padded extent
-    would.  A 1x1 kernel's buffer is a reshape of ``cols`` with no copy.
+    j*dilation - r) and clipped to the input, so every pixel of a zeroed
+    ``dx`` sums the same terms in the same order from +0.0 as a scatter into
+    the padded extent would.
     """
-    if k == 1:
-        return cols.reshape(shape)
-    n, c, h, w = shape
+    n, c, h, w = dx.shape
     r = dilation * (k - 1) // 2
     cols = cols.reshape(n, c, k, k, h, w)
-    dx = np.zeros(shape, dtype=cols.dtype)
     for i in range(k):
         dst_y, src_y = _tap_slices(i * dilation - r, h)
         for j in range(k):
@@ -259,8 +257,8 @@ def _col2im(cols: np.ndarray, shape, k: int, dilation: int) -> np.ndarray:
 # Convolution family
 # ---------------------------------------------------------------------------
 
-def conv2d(x: Tensor, weight: Tensor, bias: Tensor, dilation: int = 1) -> Tensor:
-    """2-d stride-1 cross-correlation with "same" zero padding.
+def conv2d(x: Tensor, weight: Tensor, bias: Tensor, dilation: int = 1, relu=False) -> Tensor:
+    """2-d stride-1 cross-correlation with "same" zero padding, then ``relu``.
 
     The kernel is odd and square, k x k, and the input is padded by
     r = dilation*(k-1)/2 on every side, so the output keeps the input's extent:
@@ -284,19 +282,28 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, dilation: int = 1) -> Tensor
     if dilation < 1:
         raise ValueError("conv2d requires dilation >= 1")
 
-    # the columns are dropped after the GEMM; backward gathers them again
+    # one sample's columns at a time, dropped after its GEMM; backward gathers again
     w2 = weight.data.reshape(c_out, -1)
-    out = np.matmul(w2, _im2col(x.data, k, dilation))
+    out = np.empty((n, c_out, h * w), dtype=np.result_type(w2, x.data))
+    for i in range(n):
+        np.matmul(w2, _im2col(x.data[i:i + 1], k, dilation), out=out[i:i + 1])
     out += bias.data.reshape(1, c_out, 1)
+    if relu:
+        np.maximum(out, 0, out=out)
     out = out.reshape(n, c_out, h, w)
 
     def backward(g):
+        if relu:  # g is this node's own buffer: mask by out > 0, then +0.0 as a copy adds
+            np.add(np.multiply(g, out > 0, out=g), 0.0, out=g)
         g2 = g.reshape(n, c_out, h * w)
-        _accumulate(bias, g2.sum(axis=(0, 2)))
-        dw = np.matmul(g2, _im2col(x.data, k, dilation).transpose(0, 2, 1)).sum(axis=0)
-        _accumulate(weight, dw.reshape(weight.shape))
-        dcols = np.matmul(w2.T, g2)
-        _accumulate(x, _col2im(dcols, x.shape, k, dilation))
+        _accumulate(bias, g2.sum(axis=(0, 2)), owned=True)
+        # the per-sample products, summed in sample order (a test pins the order)
+        dw = sum(np.matmul(g2[i], _im2col(x.data[i:i + 1], k, dilation)[0].T) for i in range(n))
+        _accumulate(weight, dw.reshape(weight.shape), owned=True)
+        dx = np.zeros(x.shape, dtype=g2.dtype)
+        for i in range(n):
+            _col2im(np.matmul(w2.T, g2[i]), dx[i:i + 1], k, dilation)
+        _accumulate(x, dx, owned=True)
 
     return _node(out, (x, weight, bias), backward)
 
@@ -358,7 +365,7 @@ def maxpool2d(x: Tensor) -> Tensor:
         .transpose(0, 1, 2, 4, 3, 5)
         .reshape(n, c, out_h, out_w, 4)
     )
-    idx = windows.argmax(axis=-1)
+    idx = windows.argmax(axis=-1).astype(np.uint8)  # 0-3: the tape keeps one byte each
     out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
 
     def backward(g):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from omeganet import cli as cli_module
+from omeganet import reference
 from omeganet import verify
 from omeganet import train as train_module
 from omeganet.cli import load_run_config, main
@@ -846,17 +847,26 @@ class TestVerifyCommand:
         rows = {suite: [(r.name, r.tol) for r in fn()] for suite, fn in
                 [("grad", verify.grad_suite), ("oracle", verify.oracle_suite),
                  ("shape", verify.shape_suite)]}
-        blocks = ["conv2d", "conv2d_1x1", "transposed_conv2d", "maxpool2d", "adaptive_avg_pool",
-                  "softmax_rows", "dspa", "channel_attention", "cascade_msc", "bce"]
+        blocks = ["conv2d", "conv2d_1x1", "conv2d_relu", "transposed_conv2d", "maxpool2d",
+                  "adaptive_avg_pool", "softmax_rows", "dspa", "channel_attention", "cascade_msc",
+                  "bce"]
         assert rows == {
             "grad": [(name, 1e-4) for name in blocks] + [("end_to_end", 1e-3)],
-            "oracle": [("conv2d", 1e-10), ("transposed_conv2d", 1e-10), ("maxpool2d", 1e-10),
-                       ("softmax_rows", 1e-12), ("adaptive_avg_pool", 1e-10), ("dspa", 1e-10),
-                       ("channel_attention", 1e-10), ("metrics", 0.0), ("adam", 0.0),
-                       ("init", 0.0)],
+            "oracle": [("conv2d", 1e-10), ("conv2d_relu", 1e-10), ("transposed_conv2d", 1e-10),
+                       ("maxpool2d", 1e-10), ("softmax_rows", 1e-12), ("adaptive_avg_pool", 1e-10),
+                       ("dspa", 1e-10), ("channel_attention", 1e-10), ("metrics", 0.0),
+                       ("adam", 0.0), ("init", 0.0)],
             "shape": [("shapes_d3_s32", 0.0), ("shapes_d3_s64", 0.0), ("shapes_d5_s32", 0.0),
                       ("shapes_d5_s64", 0.0)],
         }
+
+    def test_conv2d_relu_grad_row_stays_off_the_kink(self):
+        # a step of h = 1e-3 in one operand moves a pre-activation by at most
+        # h times the largest magnitude of the others (1 for the bias)
+        rng = np.random.default_rng(41)  # the row's seed
+        x, w, b = (rng.normal(size=s) for s in [(2, 3, 5, 5), (4, 3, 3, 3), (4,)])
+        step = 1e-3 * max(np.abs(x).max(), np.abs(w).max(), 1.0)
+        assert np.abs(reference.conv2d_naive(x, w, b, 1, 1, 1)).min() > 30 * step
 
     def test_shape_suite_passes(self, capsys):
         assert main(["verify", "--suite", "shape"]) == 0

@@ -94,6 +94,60 @@ class TestConv2d:
             conv2d(x, w, t64(np.zeros(1)))
 
 
+CONV_GRID = [pytest.param(n, k, d, dtype, id=f"n{n}-k{k}-d{d}-{np.dtype(dtype).name}")
+             for n in (1, 2, 3) for k in (1, 3, 5) for d in (1, 2)
+             for dtype in (np.float32, np.float64)]
+
+
+def conv_operands(n, k, dtype, seed=0):
+    """x, weight, bias and an upstream gradient g for a conv with 3 output
+    channels.  Channel 0 has zero weights and bias, so its pre-activations
+    are exactly zero; g is negative at about half of every channel's pixels,
+    those relu masks included."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, 2, 6, 5)).astype(dtype)
+    w = rng.normal(size=(3, 2, k, k)).astype(dtype)
+    b = rng.normal(size=3).astype(dtype)
+    w[0], b[0] = 0, 0
+    return x, w, b, rng.normal(size=(n, 3, 6, 5)).astype(dtype)
+
+
+def conv_bytes(x, w, b, g, fwd):
+    """Output and x, weight and bias gradient bytes of ``fwd(x, w, b)``, with
+    ``g`` as the output's upstream gradient (a dot product with g)."""
+    xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+    out = fwd(xt, wt, bt)
+    sum_all(matmul(reshape(out, (1, out.size)), Tensor(g.reshape(-1, 1)))).backward()
+    return [a.tobytes() for a in (out.data, xt.grad, wt.grad, bt.grad)]
+
+
+class TestConv2dFusedRelu:
+    @pytest.mark.parametrize("n,k,d,dtype", CONV_GRID)
+    def test_equals_relu_of_conv_byte_for_byte(self, n, k, d, dtype):
+        x, w, b, g = conv_operands(n, k, dtype)
+        pre = conv2d(Tensor(x), Tensor(w), Tensor(b), d).data
+        assert (pre[:, 0] == 0).all() and (g[pre <= 0] < 0).any()
+        fused = conv_bytes(x, w, b, g, lambda x, w, b: conv2d(x, w, b, d, relu=True))
+        unfused = conv_bytes(x, w, b, g, lambda x, w, b: relu(conv2d(x, w, b, d)))
+        assert fused == unfused
+
+    @pytest.mark.parametrize("k,d,dtype", [(k, d, dtype) for k in (1, 3, 5) for d in (1, 2)
+                                           for dtype in (np.float32, np.float64)])
+    def test_per_sample_lowering_equals_the_batched_formula(self, k, d, dtype):
+        # one GEMM per sample, and the weight gradient summed in sample order
+        x, w, b, g = conv_operands(3, k, dtype, seed=1)
+        w2, g2 = w.reshape(3, -1), g.reshape(3, 3, -1)
+        cols = _im2col(x, k, d)
+        batched = [
+            (np.matmul(w2, cols) + b.reshape(1, 3, 1)).reshape(g.shape),
+            _col2im(np.matmul(w2.T, g2), np.zeros_like(x), k, d) + 0.0,
+            np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape) + 0.0,
+            g2.sum(axis=(0, 2)) + 0.0,
+        ]
+        got = conv_bytes(x, w, b, g, lambda x, w, b: conv2d(x, w, b, d))
+        assert got == [a.tobytes() for a in batched]
+
+
 # ---------------------------------------------------------------------------
 # transposed_conv2d
 # ---------------------------------------------------------------------------
@@ -177,7 +231,7 @@ class TestWindows:
             x = rng.normal(size=(n, c, h, w))
             cols = rng.normal(size=(n, c * k * k, h * w))
             gathered = _im2col(x, k, dilation)
-            scattered = _col2im(cols, x.shape, k, dilation)
+            scattered = _col2im(cols, np.zeros(x.shape), k, dilation)
             lhs, rhs = np.vdot(gathered, cols), np.vdot(x, scattered)
             assert abs(lhs - rhs) <= 1e-12 * np.vdot(np.abs(gathered), np.abs(cols))
 
@@ -193,7 +247,8 @@ class TestWindows:
             for j in range(k):
                 y, x = i * dilation, j * dilation
                 padded[:, :, y:y + h, x:x + w] += taps[:, :, i, j]
-        np.testing.assert_array_equal(_col2im(cols, (n, c, h, w), k, dilation),
+        dx = np.zeros((n, c, h, w), dtype=np.float32)
+        np.testing.assert_array_equal(_col2im(cols, dx, k, dilation),
                                       padded[:, :, r:r + h, r:r + w])
 
     def test_1x1_stride_1_shares_memory(self, rng):
@@ -202,9 +257,10 @@ class TestWindows:
             cols = _im2col(x, 1, dilation)
             assert cols.shape == (2, 3, 4 * 5)
             assert np.shares_memory(cols, x)
-            back = _col2im(cols, x.shape, 1, dilation)
-            assert np.shares_memory(back, cols)
-            np.testing.assert_array_equal(back, x)
+            # col2im adds into the buffer it is given, even for a 1x1 kernel
+            dx = np.zeros(x.shape)
+            assert _col2im(cols, dx, 1, dilation) is dx
+            np.testing.assert_array_equal(dx, x)
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +284,11 @@ class TestMaxpool:
     def test_odd_extent_rejected(self, rng):
         with pytest.raises(ShapeError, match="divisible"):
             maxpool2d(t64(rng.normal(size=(1, 1, 3, 4))))
+
+    def test_tape_keeps_the_argmax_as_one_byte(self, rng):
+        out = maxpool2d(t64(rng.normal(size=(1, 2, 4, 4)), requires_grad=True))
+        kept = closure_arrays(out._backward_fn)
+        assert [a.dtype for a in kept if a.dtype.kind in "iu"] == [np.uint8]
 
     def test_tie_gradient_goes_to_first_in_row_major_order(self):
         x = t64(np.zeros((1, 1, 2, 2)), requires_grad=True)
@@ -471,6 +532,18 @@ class TestBackward:
         assert x.grad.tolist() == [0.0, 0.0, 0.0]
         assert not np.signbit(x.grad).any()
 
+    def test_handed_over_buffer_gets_the_bytes_of_the_copy(self):
+        g = np.array([-0.0, 1.5, -0.0, -2.0, 0.0])
+        copied, owned = (Tensor(np.zeros(5), requires_grad=True) for _ in range(2))
+        buf = g.copy()
+        _accumulate(copied, g)
+        _accumulate(owned, buf, owned=True)
+        assert owned.grad is buf and copied.grad.tobytes() == buf.tobytes()
+        assert not np.signbit(buf[[0, 2, 4]]).any()
+        _accumulate(copied, g)
+        _accumulate(owned, g.copy(), owned=True)  # a second gradient adds in place either way
+        assert copied.grad.tobytes() == owned.grad.tobytes()
+
     def test_first_gradient_broadcasts_into_a_fresh_array(self):
         x = Tensor(np.zeros((2, 3), dtype=np.float32), requires_grad=True)
         g = np.array([1.5, -2.0, 0.25])
@@ -609,6 +682,13 @@ class TestTapeRelease:
         padded_shape = (2, 3, 8 + 2 * padding, 8 + 2 * padding)
         shapes = [a.shape for a in closure_arrays(out._backward_fn)]
         assert shapes and cols_shape not in shapes and padded_shape not in shapes
+
+    def test_fused_relu_keeps_its_output_and_no_pre_activation(self, rng):
+        x = t64(rng.normal(size=(2, 3, 8, 8)), requires_grad=True)
+        w = t64(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
+        out = conv2d(x, w, t64(np.zeros(4)), relu=True)
+        kept = [a for a in closure_arrays(out._backward_fn) if not np.shares_memory(a, w.data)]
+        assert len(kept) == 1 and kept[0] is out.data
 
 
 class TestNumericHygiene:

@@ -6,7 +6,7 @@ Run it on two checkouts at the same BLAS thread count and diff the output:
     OMP_NUM_THREADS=1 PYTHONPATH=src python tools/bithash.py [case ...]
 
 With no case named, every case runs.  On two vCPUs at one BLAS thread the
-four ``toy_*`` cases take about 8 s together, and ``paper_steps`` (paper
+six ``toy_*`` cases take about 10 s together, and ``paper_steps`` (paper
 channels at 128x128) about 12 s with a 1.7 GB peak RSS.
 """
 from __future__ import annotations
@@ -92,6 +92,9 @@ CASES = {
     "toy_steps_f64": lambda: steps(TOY_MODEL, 3, 2, 4, 1e-3, np.float64),
     "toy_train_f32": lambda: train_run(np.float32),
     "toy_train_f64": lambda: train_run(np.float64),
+    # an odd micro-batch, of 3 samples
+    "toy_mb3_f32": lambda: steps(TOY_MODEL, 2, 3, 2, 1e-3, np.float32),
+    "toy_mb3_f64": lambda: steps(TOY_MODEL, 2, 3, 2, 1e-3, np.float64),
     "paper_steps": lambda: steps(PAPER_MODEL, 2, 1, 1, 1e-4, np.float32),
 }
 
