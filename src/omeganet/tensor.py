@@ -19,18 +19,25 @@ discards it, so a weight that is replaced before it is read is never filled.
 
 Ops preserve the dtype of their inputs.  Networks run in float32; the
 gradient-check suites build float64 tensors and exercise the identical code
-paths.  A conv is im2col + GEMM one sample at a time (the naive loops in
-:mod:`omeganet.reference` are test oracles), with stride 1, an odd square
-kernel, any dilation and "same" zero padding, so it keeps its input's extent.
-im2col copies one strided window view of a zero buffer holding a sample, and
+paths.  A conv is im2col + GEMM (the naive loops in :mod:`omeganet.reference`
+are test oracles), with stride 1, an odd square kernel, any dilation and
+"same" zero padding, so it keeps its input's extent.  im2col copies one
+strided window view of a zero buffer holding the input rows it needs.  The
+forward gathers each sample's columns in tiles of whole output rows, about
+``CONV_TILE_BYTES`` each, and each tile's GEMM writes its slice of the
+output; floors on a tile's columns, multiply-adds and alignment keep every
+tile's GEMM rounding as the whole product does, so tiling moves no bits.
 col2im adds each kernel tap's shifted, clipped slab straight into the input
-gradient; the backward gathers the columns again.  A conv may end in relu,
-clamping its output in place and masking the gradient by out > 0, so the
-tape keeps no pre-activation.  A transposed conv up-samples by its square
+gradient.  The backward gathers each sample's columns whole for the weight
+gradient, since splitting that sum over positions would move bits.  A conv
+may end in relu, clamping its output in place and masking the gradient by
+out > 0, so the tape keeps no pre-activation.  A transposed conv up-samples by its square
 kernel's size k with stride k; its windows never overlap, so it is a GEMM
 plus a pixel shuffle.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -205,26 +212,30 @@ def _node(out_data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
 # im2col / col2im machinery (stride-1 conv2d only)
 # ---------------------------------------------------------------------------
 
-def _im2col(x: np.ndarray, k: int, dilation: int) -> np.ndarray:
-    """Gather the (N, C*k*k, H*W) columns of a stride-1 "same" conv of ``x``.
+def _im2col(x: np.ndarray, k: int, dilation: int, y0: int = 0, y1: int | None = None):
+    """Gather the (N, C*k*k, (y1-y0)*W) columns of output rows [y0, y1) of a
+    stride-1 "same" conv of ``x``; the defaults gather every row.
 
     Column (c, i, j) at output pixel (y, x) holds
     x[n, c, y - r + i*dilation, x - r + j*dilation], zero outside ``x``, with
     r = dilation*(k-1)/2.  One copy of the window view of a zero buffer that
-    holds ``x``; a 1x1 kernel's columns are a view of ``x`` with no copy.
+    holds input rows [y0 - r, y1 + r); a 1x1 kernel's columns are a view of
+    ``x`` with no copy.
     """
     n, c, h, w = x.shape
+    y1 = h if y1 is None else y1
     r = dilation * (k - 1) // 2
-    xp = x
+    xp = x[:, :, y0:y1]
     if r:
-        xp = np.zeros((n, c, h + 2 * r, w + 2 * r), dtype=x.dtype)
-        xp[:, :, r:r + h, r:r + w] = x
+        lo, hi = max(y0 - r, 0), min(y1 + r, h)
+        xp = np.zeros((n, c, y1 - y0 + 2 * r, w + 2 * r), dtype=x.dtype)
+        xp[:, :, lo - y0 + r:hi - y0 + r, r:r + w] = x[:, :, lo:hi]
     sn, sc, sh, sw = xp.strides
     windows = np.lib.stride_tricks.as_strided(
-        xp, (n, c, k, k, h, w), (sn, sc, sh * dilation, sw * dilation, sh, sw),
+        xp, (n, c, k, k, y1 - y0, w), (sn, sc, sh * dilation, sw * dilation, sh, sw),
         writeable=False,
     )
-    return windows.reshape(n, c * k * k, h * w)
+    return windows.reshape(n, c * k * k, (y1 - y0) * w)
 
 
 def _tap_slices(offset: int, extent: int):
@@ -257,6 +268,33 @@ def _col2im(cols: np.ndarray, dx: np.ndarray, k: int, dilation: int) -> np.ndarr
 # Convolution family
 # ---------------------------------------------------------------------------
 
+# A conv's forward gathers one sample's columns in tiles of whole output rows,
+# about CONV_TILE_BYTES each.  OpenBLAS rounds a column of a tile's GEMM as it
+# does in the whole product only if the tile starts a multiple of
+# CONV_TILE_ALIGN columns in and holds at least CONV_TILE_MIN_COLUMNS columns
+# and CONV_TILE_MIN_MACS multiply-adds (below about 10**6 it switches to its
+# small-matrix kernel), so every tile keeps those floors or is the whole output.
+CONV_TILE_BYTES = 2 << 20
+CONV_TILE_MIN_COLUMNS = 1024
+CONV_TILE_MIN_MACS = 2 << 20
+CONV_TILE_ALIGN = 64
+
+
+def _row_tiles(c_in: int, c_out: int, h: int, w: int, k: int, itemsize: int):
+    """[(y0, y1)] output row tiles covering [0, h) for one sample's conv
+    columns; a short remainder joins the tile before it."""
+    if k == 1 or not c_in * c_out * w:  # a 1x1 kernel's columns are a view of the input
+        return [(0, h)]
+    min_columns = max(CONV_TILE_MIN_COLUMNS, -(-CONV_TILE_MIN_MACS // (c_out * c_in * k * k)))
+    rows = max(CONV_TILE_BYTES // (c_in * k * k * w * itemsize), -(-min_columns // w))
+    step = CONV_TILE_ALIGN // math.gcd(w, CONV_TILE_ALIGN)  # rows * w is then aligned
+    rows = -(-rows // step) * step
+    starts = list(range(0, h, rows))
+    if len(starts) > 1 and (h - starts[-1]) * w < min_columns:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [h]))
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, dilation: int = 1, relu=False) -> Tensor:
     """2-d stride-1 cross-correlation with "same" zero padding, then ``relu``.
 
@@ -282,11 +320,15 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, dilation: int = 1, relu=Fals
     if dilation < 1:
         raise ValueError("conv2d requires dilation >= 1")
 
-    # one sample's columns at a time, dropped after its GEMM; backward gathers again
+    # one tile of a sample's columns at a time, its GEMM writing straight into
+    # its slice of the output; backward gathers each sample's columns whole
     w2 = weight.data.reshape(c_out, -1)
     out = np.empty((n, c_out, h * w), dtype=np.result_type(w2, x.data))
+    tiles = _row_tiles(c_in, c_out, h, w, k, x.dtype.itemsize)
     for i in range(n):
-        np.matmul(w2, _im2col(x.data[i:i + 1], k, dilation), out=out[i:i + 1])
+        for y0, y1 in tiles:
+            np.matmul(w2, _im2col(x.data[i:i + 1], k, dilation, y0, y1)[0],
+                      out=out[i, :, y0 * w:y1 * w])
     out += bias.data.reshape(1, c_out, 1)
     if relu:
         np.maximum(out, 0, out=out)
@@ -340,12 +382,12 @@ def transposed_conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     def backward(g):
         gcols = (g.reshape(n, c_out, h, k, w, k).transpose(0, 1, 3, 5, 2, 4)
                  .reshape(n, c_out * k * k, h * w))
-        _accumulate(bias, g.sum(axis=(0, 2, 3)))
+        _accumulate(bias, g.sum(axis=(0, 2, 3)), owned=True)
         dw = np.matmul(x.data.reshape(n, c_in, h * w),
                        gcols.transpose(0, 2, 1)).sum(axis=0)
-        _accumulate(weight, dw.reshape(weight.shape))
+        _accumulate(weight, dw.reshape(weight.shape), owned=True)
         dx = np.matmul(w2, gcols)
-        _accumulate(x, dx.reshape(n, c_in, h, w))
+        _accumulate(x, dx.reshape(n, c_in, h, w), owned=True)
 
     return _node(out, (x, weight, bias), backward)
 
@@ -373,7 +415,7 @@ def maxpool2d(x: Tensor) -> Tensor:
         np.put_along_axis(dwin, idx[..., None], g[..., None], axis=-1)
         dx = (dwin.reshape(n, c, out_h, out_w, 2, 2).transpose(0, 1, 2, 4, 3, 5)
               .reshape(n, c, h, w))
-        _accumulate(x, dx)
+        _accumulate(x, dx, owned=True)
 
     return _node(out, (x,), backward)
 
@@ -399,7 +441,7 @@ def adaptive_avg_pool_to_k(x: Tensor, k: int) -> Tensor:
 
     def backward(g):
         dflat = np.repeat(g * inv_sizes, sizes, axis=-1)
-        _accumulate(x, dflat.reshape(n, c, h, w))
+        _accumulate(x, dflat.reshape(n, c, h, w), owned=True)
 
     return _node(out, (x,), backward)
 
@@ -419,8 +461,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = np.matmul(a.data, b.data)
 
     def backward(g):
-        _accumulate(a, np.matmul(g, b.data.swapaxes(-1, -2)))
-        _accumulate(b, np.matmul(a.data.swapaxes(-1, -2), g))
+        _accumulate(a, np.matmul(g, b.data.swapaxes(-1, -2)), owned=True)
+        _accumulate(b, np.matmul(a.data.swapaxes(-1, -2), g), owned=True)
 
     return _node(out, (a, b), backward)
 
@@ -447,7 +489,7 @@ def softmax_rows(x: Tensor) -> Tensor:
 
     def backward(g):
         inner = (g * out).sum(axis=-1, keepdims=True)
-        _accumulate(x, out * (g - inner))
+        _accumulate(x, out * (g - inner), owned=True)
 
     return _node(out, (x,), backward)
 

@@ -16,6 +16,7 @@ from . import blocks, reference
 from .net import ModelConfig, OmegaNet, bce_loss
 from .tensor import (
     Tensor,
+    _im2col,
     no_grad,
     adaptive_avg_pool_to_k,
     conv2d,
@@ -140,6 +141,20 @@ def _conv2d_case(rng, relu=False):
     return reference.relative_error(got, np.maximum(ref, 0) if relu else ref)
 
 
+def _conv2d_tiled_case(rng):
+    """Bits that differ between conv2d, whose forward tiles these columns at
+    the module's constants (16 -> 8 channels, 3x3, 128x96: six tiles in
+    float64, the last taking the short remainder), and one GEMM per sample."""
+    n, dl, relu = int(rng.integers(1, 3)), int(rng.integers(1, 3)), bool(rng.integers(2))
+    x = rng.normal(size=(n, 16, 128, 96))
+    wt = rng.normal(size=(8, 16, 3, 3))
+    b = rng.normal(size=(8,))
+    got = conv2d(Tensor(x), Tensor(wt), Tensor(b), dl, relu=relu).data
+    ref = np.stack([np.matmul(wt.reshape(8, -1), _im2col(x[i:i + 1], 3, dl)[0])
+                    for i in range(n)]) + b.reshape(1, 8, 1)
+    return float(_bit_mismatches(got, (np.maximum(ref, 0) if relu else ref).reshape(got.shape)))
+
+
 def _transposed_conv2d_case(rng):
     # the up-sampler's stride is its kernel size k
     n, ci, co = rng.integers(1, 3), rng.integers(1, 5), rng.integers(1, 5)
@@ -215,6 +230,7 @@ def _metrics_case(rng):
 ORACLE_CASES = (
     ("conv2d", _conv2d_case, ORACLE_TOL, 2024),
     ("conv2d_relu", lambda rng: _conv2d_case(rng, relu=True), ORACLE_TOL, 6),
+    ("conv2d_tiled", _conv2d_tiled_case, 0.0, 21),
     ("transposed_conv2d", _transposed_conv2d_case, ORACLE_TOL, 2024),
     ("maxpool2d", _maxpool2d_case, ORACLE_TOL, 2024),
     ("softmax_rows", _softmax_rows_case, 1e-12, 2024),

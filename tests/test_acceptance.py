@@ -95,7 +95,7 @@ def _paper_scale_forward_shapes():
 
 
 def test_criterion_4_shape_fidelity_paper_scale():
-    # the forward holds about 3.2 GB at its peak; a worker process returns
+    # the forward holds about 1.4 GB at its peak; a worker process returns
     # that memory when it exits, so the rest of the suite does not run on it
     [(shapes, elapsed)] = _in_workers(_paper_scale_forward_shapes, [()])
     bottleneck = shapes["bottleneck"]

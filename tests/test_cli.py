@@ -852,7 +852,8 @@ class TestVerifyCommand:
                   "bce"]
         assert rows == {
             "grad": [(name, 1e-4) for name in blocks] + [("end_to_end", 1e-3)],
-            "oracle": [("conv2d", 1e-10), ("conv2d_relu", 1e-10), ("transposed_conv2d", 1e-10),
+            "oracle": [("conv2d", 1e-10), ("conv2d_relu", 1e-10), ("conv2d_tiled", 0.0),
+                       ("transposed_conv2d", 1e-10),
                        ("maxpool2d", 1e-10), ("softmax_rows", 1e-12), ("adaptive_avg_pool", 1e-10),
                        ("dspa", 1e-10), ("channel_attention", 1e-10), ("metrics", 0.0),
                        ("adam", 0.0), ("init", 0.0)],

@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from omeganet import reference
+from omeganet import reference, tensor
 from omeganet.net import ModelConfig, OmegaNet
 from omeganet.tensor import (
     Tensor,
@@ -146,6 +146,87 @@ class TestConv2dFusedRelu:
         ]
         got = conv_bytes(x, w, b, g, lambda x, w, b: conv2d(x, w, b, d))
         assert got == [a.tobytes() for a in batched]
+
+
+def whole_sample_conv(x, w, b, d, relu):
+    """conv2d's forward as one GEMM per sample over all of its columns."""
+    w2 = w.reshape(len(w), -1)
+    out = np.stack([np.matmul(w2, _im2col(x[i:i + 1], w.shape[-1], d)[0])
+                    for i in range(len(x))]) + b.reshape(1, -1, 1)
+    return (np.maximum(out, 0) if relu else out).reshape(len(x), len(w), *x.shape[2:])
+
+
+TILE_GRID = [pytest.param(w, k, d, c_out, relu, n, dtype,
+                          id=f"w{w}-k{k}-d{d}-co{c_out}-relu{int(relu)}-n{n}-{np.dtype(dtype).name}")
+             for w in (96, 100) for k in (1, 3, 5) for d in (1, 2) for c_out in (2, 8, 64)
+             for relu in (False, True) for n in (1, 2) for dtype in (np.float32, np.float64)]
+
+
+class TestConvRowTiles:
+    @pytest.mark.parametrize("w,k,d,c_out,relu,n,dtype", TILE_GRID)
+    def test_tiled_forward_equals_the_whole_sample_gemm(self, monkeypatch, w, k, d, c_out, relu,
+                                                        n, dtype):
+        # 16 input channels at 170 rows: every k > 1 tiles, in tiles whose
+        # height does not divide 170, so the last one takes the remainder.
+        # Here OpenBLAS moves bits at 100 columns a row without the alignment,
+        # and at 96 without the column floor.
+        monkeypatch.setattr(tensor, "CONV_TILE_BYTES", 64 << 10)
+        c_in, h = 16, 170
+        tiles = tensor._row_tiles(c_in, c_out, h, w, k, np.dtype(dtype).itemsize)
+        assert len(tiles) == 1 if k == 1 else len(tiles) >= 2 and h % (tiles[0][1]) != 0
+        rng = np.random.default_rng(k * 100 + c_out)
+        x = rng.normal(size=(n, c_in, h, w)).astype(dtype)
+        wt = rng.normal(size=(c_out, c_in, k, k)).astype(dtype)
+        b = rng.normal(size=c_out).astype(dtype)
+        got = conv2d(Tensor(x), Tensor(wt), Tensor(b), d, relu=relu).data
+        assert got.tobytes() == whole_sample_conv(x, wt, b, d, relu).tobytes()
+
+    def test_row_range_gathers_those_rows_of_the_whole_columns(self):
+        # extents from 1, so halos reach past both edges (k=5, d=2: r=4)
+        rng = np.random.default_rng(2021)
+        for _ in range(200):
+            k, d = int(rng.choice([1, 3, 5])), int(rng.integers(1, 3))
+            n, c = int(rng.integers(1, 3)), int(rng.integers(1, 4))
+            h, w = (int(v) for v in rng.integers(1, 10, size=2))
+            y0 = int(rng.integers(0, h))
+            y1 = int(rng.integers(y0 + 1, h + 1))
+            x = rng.normal(size=(n, c, h, w))
+            whole = _im2col(x, k, d)
+            np.testing.assert_array_equal(_im2col(x, k, d, y0, y1), whole[:, :, y0 * w:y1 * w])
+
+    @pytest.mark.parametrize("budget", [1, 64 << 10, tensor.CONV_TILE_BYTES])
+    def test_every_tile_keeps_the_floors_unless_it_is_the_whole_output(self, monkeypatch,
+                                                                       budget):
+        monkeypatch.setattr(tensor, "CONV_TILE_BYTES", budget)
+        calls = []
+
+        def spy(x, k, d, y0=0, y1=None):
+            cols = _im2col(x, k, d, y0, y1)
+            calls.append((y0, x.shape[2] if y1 is None else y1, cols.nbytes))
+            return cols
+
+        monkeypatch.setattr(tensor, "_im2col", spy)
+        rng = np.random.default_rng(3)
+        tiled = 0
+        for (c_in, h, w), c_out, k, dtype in [
+                ((16, 170, 100), 2, 3, np.float32), ((16, 170, 100), 64, 5, np.float64),
+                ((3, 128, 96), 8, 3, np.float32), ((8, 64, 64), 8, 3, np.float64),
+                ((4, 300, 33), 64, 3, np.float32), ((64, 40, 40), 16, 3, np.float32)]:
+            x = Tensor(rng.normal(size=(1, c_in, h, w)).astype(dtype))
+            wt = Tensor(rng.normal(size=(c_out, c_in, k, k)).astype(dtype))
+            calls.clear()
+            conv2d(x, wt, Tensor(np.zeros(c_out, dtype=dtype)))
+            assert calls[0][0] == 0 and calls[-1][1] == h
+            assert all(a[1] == b[0] for a, b in zip(calls, calls[1:]))
+            assert sum(nbytes for *_, nbytes in calls) == c_in * k * k * h * w * x.dtype.itemsize
+            tiled += len(calls) > 1
+            if len(calls) > 1:
+                for y0, y1, _ in calls:
+                    columns = (y1 - y0) * w
+                    assert columns >= tensor.CONV_TILE_MIN_COLUMNS
+                    assert c_out * c_in * k * k * columns >= tensor.CONV_TILE_MIN_MACS
+                    assert y0 * w % tensor.CONV_TILE_ALIGN == 0
+        assert tiled >= 2
 
 
 # ---------------------------------------------------------------------------
@@ -543,6 +624,37 @@ class TestBackward:
         _accumulate(copied, g)
         _accumulate(owned, g.copy(), owned=True)  # a second gradient adds in place either way
         assert copied.grad.tobytes() == owned.grad.tobytes()
+
+    @pytest.mark.parametrize("name,hands_over", [
+        ("conv2d", True), ("transposed_conv2d", True), ("matmul", True), ("softmax_rows", True),
+        ("maxpool2d", True), ("adaptive_avg_pool_to_k", True),
+        # these pass g or a view of it, which must be copied
+        ("add", False), ("reshape", False), ("concat_channels", False),
+        ("transpose_last2", False), ("sum_all", False), ("mean_all", False)])
+    def test_ops_hand_over_only_fresh_buffers_with_the_bytes_of_the_copy(
+            self, monkeypatch, name, hands_over):
+        op, shapes = next((op, shapes) for n, op, shapes in GATED_OPS if n == name)
+        original = _accumulate
+
+        def gradients(accumulate):
+            monkeypatch.setattr(tensor, "_accumulate", accumulate)
+            rng = np.random.default_rng(9)
+            operands = [t64(rng.normal(size=s), requires_grad=True) for s in shapes]
+            out = op(*operands)
+            g = rng.normal(size=out.shape)
+            g.reshape(-1)[::2] = -0.0  # negative zeros upstream
+            out._backward_fn(g)
+            return [t.grad.tobytes() for t in operands]
+
+        flags = []
+
+        def spy(t, g, owned=False):
+            flags.append(owned)
+            original(t, g, owned)
+
+        handed_over = gradients(spy)
+        assert flags and all(f == hands_over for f in flags)
+        assert handed_over == gradients(lambda t, g, owned=False: original(t, g))
 
     def test_first_gradient_broadcasts_into_a_fresh_array(self):
         x = Tensor(np.zeros((2, 3), dtype=np.float32), requires_grad=True)
